@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -48,13 +47,9 @@ def _emit_graph(g: gc.Graph, args) -> None:
         print(gc.dumps_graph(g))
 
 
-def _workers() -> int:
-    # instance loops run sequentially; the env cap is recorded for reports
-    cap = os.environ.get("OBSLAB_THREADS")
-    try:
-        return max(1, int(cap)) if cap else 1
-    except ValueError:
-        return 1
+def _emit(obj) -> None:
+    """Print obj as one compact JSON line."""
+    print(json.dumps(obj, separators=(",", ":")))
 
 
 # -- gen -----------------------------------------------------------------------
@@ -94,21 +89,11 @@ def cmd_gen(args) -> int:
     elif name == "planted-phantom":
         base = gen.complete(_int(p, 0))
         host, ph = gen.plant_phantom(base, _int(p, 1), _int(p, 2), seed=args.seed, density=args.density)
-        print(
-            json.dumps(
-                {"graph": gc.graph_to_json_obj(host), "phantom": st.phantom_to_json_obj(ph)},
-                separators=(",", ":"),
-            )
-        )
+        _emit({"graph": gc.graph_to_json_obj(host), "phantom": st.phantom_to_json_obj(ph)})
         return EXIT_OK
     elif name == "planted-crystal":
         host, c = gen.plant_crystal(_int(p, 0), _int(p, 1), noise_seed=args.seed)
-        print(
-            json.dumps(
-                {"graph": gc.graph_to_json_obj(host), "crystal": st.crystal_to_json_obj(c)},
-                separators=(",", ":"),
-            )
-        )
+        _emit({"graph": gc.graph_to_json_obj(host), "crystal": st.crystal_to_json_obj(c)})
         return EXIT_OK
     else:
         raise InvalidInput(f"unknown family {name!r}")
@@ -152,7 +137,7 @@ def cmd_detect(args) -> int:
             "vertices": list(w.vertices) if w else [],
             "roles": {str(v): r for v, r in (w.roles.items() if w else ())},
         }
-        print(json.dumps(report, separators=(",", ":")))
+        _emit(report)
         return EXIT_OK
     else:
         raise InvalidInput(f"unknown structure {kind!r}")
@@ -161,7 +146,7 @@ def cmd_detect(args) -> int:
         "vertices": list(w.vertices) if w else [],
         "roles": {str(v): r for v, r in (w.roles.items() if w else ())},
     }
-    print(json.dumps(report, separators=(",", ":")))
+    _emit(report)
     return EXIT_OK
 
 
@@ -173,7 +158,7 @@ def cmd_tw(args) -> int:
     if args.bounds:
         lo = tw.tw_lower(g)
         hi, _ = tw.tw_upper(g)
-        print(json.dumps({"lower": lo, "upper": hi}, separators=(",", ":")))
+        _emit({"lower": lo, "upper": hi})
         return EXIT_OK
     width, td = tw.treewidth_exact(g, guard=args.exact_guard)
     sys.stdout.write(tw.to_pace(td, g.n))
@@ -190,8 +175,10 @@ def cmd_validate(args) -> int:
         raise InvalidInput(f"malformed JSON: {exc}") from exc
     if not isinstance(obj, dict) or "graph" not in obj:
         raise InvalidInput("expected an object with a 'graph' member")
-    g = gc.graph_from_json_obj(obj["graph"])
     kind = args.kind
+    if kind not in obj:
+        raise InvalidInput(f"expected a '{kind}' member")
+    g = gc.graph_from_json_obj(obj["graph"])
     if kind == "phantom":
         p = st.phantom_from_json_obj(obj["phantom"])
         bad = st.validate_phantom(g, p)
@@ -214,13 +201,9 @@ def cmd_validate(args) -> int:
     else:
         raise InvalidInput(f"unknown structure kind {kind!r}")
     if bad is None:
-        print(json.dumps({"valid": True}, separators=(",", ":")))
+        _emit({"valid": True})
         return EXIT_OK
-    print(
-        json.dumps(
-            {"valid": False, "clause": bad.clause, "detail": bad.detail}, separators=(",", ":")
-        )
-    )
+    _emit({"valid": False, "clause": bad.clause, "detail": bad.detail})
     return EXIT_VIOLATION
 
 
@@ -264,47 +247,18 @@ def _run_extract(args, obj) -> int:
     op = args.operation
     if op == "crystallized-vertex":
         z, (z1, z2, s1, s2) = ext.find_crystallized_vertex(g)
-        print(
-            json.dumps(
-                {
-                    "variant": "crystallized",
-                    "payload": {
-                        "vertex": z,
-                        "anchors": [z1, z2],
-                        "sides": [sorted(s1), sorted(s2)],
-                    },
-                    "trace": [],
-                },
-                separators=(",", ":"),
-            )
-        )
-        return EXIT_OK
+        payload = {"vertex": z, "anchors": [z1, z2], "sides": [sorted(s1), sorted(s2)]}
+        return _emit_outcome("crystallized", payload)
     if op == "clear-crystal":
         c = st.crystal_from_json_obj(obj["crystal"])
         out = ext.clear_crystal(g, c, int(params["f"]), int(params["g"]))
         if isinstance(out, ext.HypothesisViolation):
             return _emit_violation(out)
-        print(
-            json.dumps(
-                {"variant": "clear-crystal", "payload": st.crystal_to_json_obj(out), "trace": []},
-                separators=(",", ":"),
-            )
-        )
-        return EXIT_OK
+        return _emit_outcome("clear-crystal", st.crystal_to_json_obj(out))
     if op == "phantom-to-crystal":
         p = st.phantom_from_json_obj(obj["phantom"])
         out = ext.phantom_to_crystal(g, p, int(params["f"]), int(params["g"]))
-        print(
-            json.dumps(
-                {
-                    "variant": out.variant,
-                    "payload": _payload_obj(out.payload),
-                    "trace": [list(map(_jsonable, step)) for step in out.trace],
-                },
-                separators=(",", ":"),
-            )
-        )
-        return EXIT_OK
+        return _emit_extraction(out)
     if op == "phantom-to-cone-tree":
         p = st.phantom_from_json_obj(obj["phantom"])
         out = ext.phantom_to_cone_tree(
@@ -322,28 +276,9 @@ def _run_extract(args, obj) -> int:
         if isinstance(out, ext.HypothesisViolation):
             return _emit_violation(out)
         if isinstance(out, ext.ClassObstruction):
-            print(
-                json.dumps(
-                    {
-                        "variant": "class-obstruction",
-                        "payload": {"kind": out.kind, "vertices": list(out.vertices)},
-                        "trace": [],
-                    },
-                    separators=(",", ":"),
-                )
-            )
-            return EXIT_VIOLATION
-        print(
-            json.dumps(
-                {
-                    "variant": out.variant,
-                    "payload": _payload_obj(out.payload),
-                    "trace": [list(map(_jsonable, step)) for step in out.trace],
-                },
-                separators=(",", ":"),
-            )
-        )
-        return EXIT_OK
+            payload = {"kind": out.kind, "vertices": list(out.vertices)}
+            return _emit_outcome("class-obstruction", payload, code=EXIT_VIOLATION)
+        return _emit_extraction(out)
     raise InvalidInput(f"unknown extraction operation {op!r}")
 
 
@@ -353,23 +288,24 @@ def _jsonable(x):
     return x
 
 
+def _emit_outcome(variant: str, payload, trace=(), code: int = EXIT_OK) -> int:
+    _emit({"variant": variant, "payload": payload, "trace": list(trace)})
+    return code
+
+
+def _emit_extraction(out: "ext.ExtractionOutcome") -> int:
+    trace = [list(map(_jsonable, step)) for step in out.trace]
+    return _emit_outcome(out.variant, _payload_obj(out.payload), trace)
+
+
 def _emit_violation(out: "ext.HypothesisViolation") -> int:
-    print(
-        json.dumps(
-            {
-                "variant": "hypothesis-violation",
-                "payload": {
-                    "step": out.step,
-                    "detail": out.detail,
-                    "needed": out.needed,
-                    "available": out.available,
-                },
-                "trace": [],
-            },
-            separators=(",", ":"),
-        )
-    )
-    return EXIT_VIOLATION
+    payload = {
+        "step": out.step,
+        "detail": out.detail,
+        "needed": out.needed,
+        "available": out.available,
+    }
+    return _emit_outcome("hypothesis-violation", payload, code=EXIT_VIOLATION)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -397,20 +333,19 @@ def cmd_verify(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": f"verify {args.suite}",
         "seed": args.seed or 0,
-        "workers": _workers(),
     }
-    print(json.dumps(header, separators=(",", ":")))
+    _emit(header)
     failures = 0
     for rec in records:
         if not rec["ok"]:
             failures += 1
-        print(json.dumps(rec, separators=(",", ":")))
+        _emit(rec)
     summary = {
         "instances": len(records),
         "failures": failures,
         "elapsed": round(elapsed, 3),
     }
-    print(json.dumps(summary, separators=(",", ":")))
+    _emit(summary)
     return EXIT_OK if failures == 0 else EXIT_VIOLATION
 
 
@@ -418,8 +353,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan_conjecture(args) -> int:
-    with open(args.pattern) as fh:
-        h = gc.loads_graph(fh.read())
+    try:
+        with open(args.pattern) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidInput(f"cannot read pattern file: {exc}") from exc
+    h = gc.loads_graph(text)
     if not det.is_k_forest(h, 2):
         raise InvalidInput("pattern graph must be a 2-forest")
     header = {
@@ -429,7 +368,7 @@ def cmd_scan_conjecture(args) -> int:
         "t": args.t,
         "n_max": args.n,
     }
-    print(json.dumps(header, separators=(",", ":")))
+    _emit(header)
     from .rng import SplitMix
 
     rng = SplitMix(args.seed or 0)
@@ -454,13 +393,8 @@ def cmd_scan_conjecture(args) -> int:
                 best = width
                 records.append({"n": n, "treewidth": width, "edges": [list(e) for e in g.edges()]})
     for rec in records:
-        print(json.dumps(rec, separators=(",", ":")))
-    print(
-        json.dumps(
-            {"checked": checked, "max_treewidth_observed": best, "conclusive": False},
-            separators=(",", ":"),
-        )
-    )
+        _emit(rec)
+    _emit({"checked": checked, "max_treewidth_observed": best, "conclusive": False})
     return EXIT_OK
 
 

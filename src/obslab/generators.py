@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import Graph, bits, check_vertex_set, line_graph, mask_of, subdivide
 from .rng import SplitMix
@@ -218,51 +216,28 @@ def k_tree_random(k: int, n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _wl_key(g: Graph, rounds: int = 3) -> tuple:
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(rounds):
-        sigs = [
-            (colors[v], tuple(sorted(colors[u] for u in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [ranking[s] for s in sigs]
-    return (g.n, g.m, tuple(sorted(colors)))
-
-
-def _isomorphic(g: Graph, h: Graph) -> bool:
-    from .detectors import contains_induced
-
-    if g.n != h.n or g.m != h.m:
-        return False
-    return contains_induced(g, h, guard=max(g.n, 1)) is not None
-
-
 def k_tree_enumerate(k: int, n: int):
-    """All k-trees on n vertices, one per isomorphism class for n <= 12
-    (beyond that the stream may repeat classes)."""
+    """All k-trees on n vertices, one per isomorphism class.
+
+    Each level attaches a vertex to every k-clique of every class of the
+    level below and keeps the first candidate of each canonical key.
+    """
     if k < 1 or n < k:
         raise InvalidInput("need n >= k >= 1")
-    dedup = n <= 12
     level = [complete(k)]
     for size in range(k + 1, n + 1):
         grown: list[Graph] = []
-        seen: dict[tuple, list[Graph]] = {}
+        seen: set[tuple[int, int]] = set()
         for g in level:
             for clique in itertools.combinations(range(g.n), k):
                 cm = mask_of(clique)
                 if not all((g.adj[u] & cm) == cm & ~(1 << u) for u in clique):
                     continue
                 cand = Graph.from_edges(g.n + 1, list(g.edges()) + [(u, g.n) for u in clique])
-                if not dedup:
+                key = canonical_key(cand)
+                if key not in seen:
+                    seen.add(key)
                     grown.append(cand)
-                    continue
-                key = _wl_key(cand)
-                bucket = seen.setdefault(key, [])
-                if any(_isomorphic(cand, other) for other in bucket):
-                    continue
-                bucket.append(cand)
-                grown.append(cand)
         level = grown
     yield from level
 
@@ -293,79 +268,93 @@ def random_digraph(n: int, seed: int, num: int = 1, den: int = 2):
 
 
 @lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    out = {}
-    k = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[(i, j)] = k
-            k += 1
-    return out
+def _pair_bits(n: int) -> list[list[int]]:
+    """Entry [i][j]: the bit of pair {i, j} in an edge bitmask, pairs in
+    lexicographic order."""
+    table = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(itertools.combinations(range(n), 2)):
+        table[i][j] = table[j][i] = 1 << k
+    return table
 
 
-@lru_cache(maxsize=None)
-def _perm_sources(n: int) -> np.ndarray:
-    """Row p, column k: source bit of pair k under permutation p."""
-    pi = _pair_index(n)
-    perms = list(itertools.permutations(range(n)))
-    src = np.empty((len(perms), len(pi)), dtype=np.int64)
-    for p, perm in enumerate(perms):
-        for (i, j), k in pi.items():
-            a, b = perm[i], perm[j]
-            if a > b:
-                a, b = b, a
-            src[p, k] = pi[(a, b)]
-    return src
+def _refine(g: Graph, cells: list[list[int]]) -> list[list[int]]:
+    """Split every cell by its vertices' neighbour counts into every cell
+    until the ordered partition is equitable.  Split parts are ordered by
+    that signature, never by vertex label, so refinement commutes with
+    relabelling."""
+    while True:
+        masks = [mask_of(c) for c in cells]
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            parts: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                parts.setdefault(tuple((g.adj[v] & m).bit_count() for m in masks), []).append(v)
+            out += [parts[sig] for sig in sorted(parts)]
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
-def _edge_mask(g: Graph) -> int:
-    pi = _pair_index(g.n)
-    m = 0
-    for e in g.edges():
-        m |= 1 << pi[e]
-    return m
+def canonical_key(g: Graph) -> tuple[int, int]:
+    """(n, canonical edge bitmask): equal exactly for isomorphic graphs.
+
+    Colour refinement plus individualisation (McKay and Piperno, "Practical
+    graph isomorphism, II", 2014): refine the degree partition until it is
+    equitable, then individualise each vertex of the first smallest
+    non-singleton cell and recurse.  Every leaf is a discrete partition, read
+    as a relabelling; the key keeps the smallest relabelled edge bitmask.
+    Within a cell only one vertex per twin class is tried: swapping twins
+    (equal open or closed neighbourhoods) is an automorphism fixing the
+    partition, so their subtrees reach the same leaves.
+    """
+    n = g.n
+    pair = _pair_bits(n)
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    best = None
+    stack = [_refine(g, [by_degree[d] for d in sorted(by_degree)])]
+    while stack:
+        cells = stack.pop()
+        open_cells = [(len(c), i) for i, c in enumerate(cells) if len(c) > 1]
+        if not open_cells:
+            label = [0] * n
+            for i, (v,) in enumerate(cells):
+                label[v] = i
+            mask = sum(pair[label[u]][label[v]] for u, v in g.edges())
+            if best is None or mask < best:
+                best = mask
+            continue
+        i = min(open_cells)[1]
+        tried: list[int] = []
+        for v in cells[i]:
+            if any(g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u) for u in tried):
+                continue
+            tried.append(v)
+            rest = [u for u in cells[i] if u != v]
+            stack.append(_refine(g, cells[:i] + [[v], rest] + cells[i + 1 :]))
+    return n, best or 0
 
 
-def _graph_from_edge_mask(n: int, emask: int) -> Graph:
-    pi = _pair_index(n)
-    rev = {k: e for e, k in pi.items()}
-    return Graph.from_edges(n, [rev[k] for k in bits(emask)])
-
-
-def canonical_key(g: Graph) -> int:
-    """Minimum edge-bitmask over all vertex relabelings (n <= 8)."""
-    if g.n > 8:
-        raise ScaleLimit("canonical_key enumerates all permutations; n <= 8 only")
-    if g.n <= 1:
-        return 0
-    src = _perm_sources(g.n)
-    e = _edge_mask(g)
-    vals = _canonical_batch(np.array([e], dtype=np.int64), src)
-    return int(vals[0])
-
-
-def _canonical_batch(emasks: np.ndarray, src: np.ndarray) -> np.ndarray:
-    kbits = src.shape[1]
-    out = np.empty(len(emasks), dtype=np.int64)
-    chunk = max(1, 2_000_000 // src.shape[0])
-    for lo in range(0, len(emasks), chunk):
-        block = emasks[lo : lo + chunk, None]
-        vals = np.zeros((block.shape[0], src.shape[0]), dtype=np.int64)
-        for k in range(kbits):
-            vals |= ((block >> src[None, :, k]) & 1) << k
-        out[lo : lo + chunk] = vals.min(axis=1)
-    return out
+def _graph_from_key(key: tuple[int, int]) -> Graph:
+    n, mask = key
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
 
 
 _ISO_CACHE: dict[int, list[Graph]] = {}
 
 
 def enumerate_graphs(n: int) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism, canonical representatives,
-    built by one-vertex extensions of the (n-1)-vertex classes.
+    """All graphs on n vertices up to isomorphism, one per class, rebuilt
+    from the canonical keys of the one-vertex extensions of the
+    (n-1)-vertex classes and sorted by key.
 
-    Fast through n = 7 (the 1044 classes take a few seconds); n = 8 works
-    but the permutation-minimum canonicalization makes it a many-minute run.
+    The 1044 classes on 7 vertices take well under a second and the 12346
+    on 8 vertices take seconds.
     """
     if n > 8:
         raise ScaleLimit("exhaustive enumeration supported for n <= 8")
@@ -375,21 +364,13 @@ def enumerate_graphs(n: int) -> list[Graph]:
         reps = [Graph(n, tuple([0] * n))]
         _ISO_CACHE[n] = reps
         return reps
-    prev = enumerate_graphs(n - 1)
-    pi = _pair_index(n)
-    cands = []
-    for g in prev:
-        base = 0
-        for e in g.edges():
-            base |= 1 << pi[e]
-        for nb in range(1 << (n - 1)):
-            extra = base
-            for i in bits(nb):
-                extra |= 1 << pi[(i, n - 1)]
-            cands.append(extra)
-    src = _perm_sources(n)
-    keys = _canonical_batch(np.array(cands, dtype=np.int64), src)
-    reps = [_graph_from_edge_mask(n, int(k)) for k in sorted(set(int(v) for v in keys))]
+    new = 1 << (n - 1)
+    keys = set()
+    for g in enumerate_graphs(n - 1):
+        for nb in range(new):
+            adj = tuple(a | new if nb >> v & 1 else a for v, a in enumerate(g.adj))
+            keys.add(canonical_key(Graph(n, adj + (nb,))))
+    reps = [_graph_from_key(key) for key in sorted(keys)]
     _ISO_CACHE[n] = reps
     return reps
 

@@ -107,6 +107,7 @@ def suite_obstructions(t_max: int = 3, seed: int = 0, subdivision_samples: int =
         ok = w == t and tw.verify_decomposition(g, td) is None
         records.append(_record(i, f"tw(wall({t}))", ok, width=w))
         i += 1
+    # the suite builds these instances itself, so each is guarded by its own size
     rng = SplitMix(seed)
     for t in (3, 4):
         if t > t_max + 1:
@@ -115,24 +116,24 @@ def suite_obstructions(t_max: int = 3, seed: int = 0, subdivision_samples: int =
             s = rng.next_u64()
             for kind in ("biclique", "wall", "line_of_wall"):
                 g = gen.basic_obstruction(t, kind, seed=s)
-                w = det.find_even_hole(g, guard=128)
+                w = det.find_even_hole(g, guard=g.n)
                 ok = w is not None and det.validate_witness(g, w)
                 records.append(_record(i, f"even-hole {kind} t={t}", ok, n=g.n))
                 i += 1
             g = gen.basic_obstruction(t, "wall", seed=s)
-            w = det.find_theta(g, guard=128)
+            w = det.find_theta(g, guard=g.n)
             records.append(
                 _record(i, f"theta wall t={t}", w is not None and det.validate_witness(g, w))
             )
             i += 1
             g = gen.basic_obstruction(t, "biclique", seed=s)
-            w = det.find_theta(g, guard=128)
+            w = det.find_theta(g, guard=g.n)
             records.append(
                 _record(i, f"theta biclique t={t}", w is not None and det.validate_witness(g, w))
             )
             i += 1
             g = gen.basic_obstruction(t, "line_of_wall", seed=s)
-            w = det.find_prism(g, guard=128)
+            w = det.find_prism(g, guard=g.n)
             records.append(
                 _record(i, f"prism line-of-wall t={t}", w is not None and det.validate_witness(g, w))
             )

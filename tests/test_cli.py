@@ -2,6 +2,8 @@ import io
 import json
 import sys
 
+import pytest
+
 from obslab import cli
 from obslab.generators import complete, cone, path_graph, plant_crystal, plant_phantom
 from obslab.graph_core import dumps_graph, loads_graph
@@ -186,8 +188,23 @@ def test_scan_conjecture(tmp_path):
     assert code == 1  # pattern contains K4, not a 2-forest
 
 
-def test_worker_cap_recorded(monkeypatch):
-    monkeypatch.setenv("OBSLAB_THREADS", "4")
-    code, out = run_cli(["verify", "ramsey", "--c", "2", "--s", "2", "--samples", "5"])
+def test_verify_obstructions_guards_its_own_instances():
+    # seed 2 draws a t=4 line graph on 129 vertices
+    code, out = run_cli(["verify", "obstructions", "--t", "3", "--samples", "2", "--seed", "2"])
     assert code == 0
-    assert json.loads(out.splitlines()[0])["workers"] == 4
+    lines = [json.loads(x) for x in out.splitlines()]
+    assert "workers" not in lines[0]
+    assert lines[-1]["failures"] == 0
+    assert max(rec.get("n", 0) for rec in lines[1:-1]) > 128
+
+
+def test_scan_conjecture_missing_pattern(tmp_path):
+    code, out = run_cli(["scan-conjecture", str(tmp_path / "absent.json"), "--t", "4", "--n", "4"])
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize("kind", ["phantom", "crystal", "kaleidoscope", "decomposition"])
+def test_validate_missing_member(kind):
+    payload = json.dumps({"graph": json.loads(dumps_graph(complete(3)))})
+    code, out = run_cli(["validate", kind], payload)
+    assert code == 1 and out == ""

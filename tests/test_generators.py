@@ -149,8 +149,8 @@ def test_k_tree_enumerate_uniqueness_at_four():
 
 
 def test_k_tree_enumerate_counts():
-    # unlabeled 2-trees: 1, 1, 2, 5, 12 for n = 3..7
-    for n, count in ((3, 1), (4, 1), (5, 2), (6, 5), (7, 12)):
+    # unlabeled 2-trees: 1, 1, 2, 5, 12 for n = 3..7 and 136 for n = 9
+    for n, count in ((3, 1), (4, 1), (5, 2), (6, 5), (7, 12), (9, 136)):
         assert len(list(k_tree_enumerate(2, n))) == count
 
 
