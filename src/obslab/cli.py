@@ -329,6 +329,8 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     records = suite(**kwargs)
     elapsed = time.perf_counter() - t0
+    if not records:
+        raise InvalidInput(f"verify {args.suite}: these settings give no instances to check")
     header = {
         "schema": SCHEMA_VERSION,
         "command": f"verify {args.suite}",

@@ -1,7 +1,8 @@
 """Exhaustive recognizers for the forbidden and required induced structures.
 
 Every searcher is exact: it returns a witness that re-validates against the
-structure's definition, or certifies absence by exhausting its search space.
+structure's definition, or certifies absence by exhausting its search space
+(or, for the hole-based structures, by a perfect elimination order).
 Inputs beyond the vertex guard (or searches beyond the node budget) raise
 ScaleLimit rather than answering wrongly.
 
@@ -13,7 +14,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput, ScaleLimit
@@ -22,7 +23,6 @@ from .graph_core import (
     Graph,
     bits,
     check_vertex_set,
-    induced_subgraph,
     is_anticomplete_to,
     is_clique,
     is_stable_set,
@@ -32,9 +32,6 @@ from .graph_core import (
 
 DEFAULT_GUARD = 64
 DEFAULT_BUDGET = 5_000_000
-
-# subset scans are used up to this size, path-growing searches beyond it
-_SUBSET_CUTOFF = 18
 
 
 def _check_scale(g: Graph, guard: int, what: str) -> None:
@@ -53,6 +50,14 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise ScaleLimit(f"{self.what}: search budget exhausted")
+
+
+def _closed(g: Graph, mask: int) -> int:
+    """Closed neighborhood of a vertex set: the set and all its neighbors."""
+    reach = mask
+    for v in bits(mask):
+        reach |= g.adj[v]
+    return reach
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def find_hole(g: Graph) -> Witness | None:
                 a, c = nb[ai], nb[ci]
                 if g.has_edge(a, c):
                     continue
-                allowed = g.full_mask() & ~((g.adj[b] | (1 << b)) & ~mask_of((a, c)))
+                allowed = g.full_mask() & ~(_closed(g, 1 << b) & ~mask_of((a, c)))
                 seq = _shortest_path(g, a, c, allowed)
                 if seq is not None:
                     cycle = (b, *seq)
@@ -169,101 +174,102 @@ def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> tuple[int, ...
     return None
 
 
-# -- even holes ----------------------------------------------------------------
+# -- hole-based finders: shared prologue, induced cycles, even hole and wheel ----
 
 
-def _is_cycle_subset(g: Graph, subset: tuple[int, ...], smask: int) -> tuple[int, ...] | None:
-    """Cycle order if the subset induces a single cycle, else None."""
-    for v in subset:
-        if (g.adj[v] & smask).bit_count() != 2:
-            return None
-    start = subset[0]
-    order = [start]
-    prev = -1
-    cur = start
-    for _ in range(len(subset) - 1):
-        step = g.adj[cur] & smask
-        if prev >= 0:
-            step &= ~(1 << prev)
-        nxt = (step & -step).bit_length() - 1
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != len(subset):
+def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
+    """Prologue of the four hole-based finders: the scale guard, then None on
+    a chordal graph (each structure contains a hole, so a chordal graph has
+    none of them), else a fresh search budget."""
+    _check_scale(g, guard, what)
+    if is_chordal(g)[0]:
         return None
-    return tuple(order)
+    return _Budget(budget, what)
 
 
-def _even_hole_by_subsets(g: Graph) -> Witness | None:
-    n = g.n
-    for size in range(4, n + 1, 2):
-        for subset in combinations(range(n), size):
-            smask = mask_of(subset)
-            order = _is_cycle_subset(g, subset, smask)
-            if order is not None:
-                return Witness(
-                    "even-hole", subset, {v: "hole" for v in subset}, (("cycle", order),)
-                )
-    return None
+def _cycles(
+    g: Graph, allowed: int, lengths: Iterable[int], budget: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Induced cycles inside the allowed mask, each length in turn, canonical
+    root = minimum vertex, in deterministic order.  Distance-to-root pruning
+    keeps the walk near-geodesic on sparse inputs; each root's distances are
+    computed once and serve every length."""
+    dists: list[list[int] | None] = [None] * g.n
+    for target in lengths:
+        for root in bits(allowed):
+            if dists[root] is None:
+                # only vertices above the root may appear, making the root canonical
+                dists[root] = g.bfs_dist(root, allowed & ~((1 << root) - 1))
+            dist = dists[root]
+            rbit = 1 << root
+            path = [root]
+            pmask = rbit
 
+            def extend(end: int, interior_ban: int) -> Iterator[tuple[int, ...]]:
+                nonlocal pmask
+                budget.spend()
+                k = len(path)
+                if k == target:
+                    if g.adj[end] & rbit:
+                        yield tuple(path)
+                    return
+                cand = g.adj[end] & ~interior_ban & ~pmask
+                for v in bits(cand):
+                    if dist[v] < 0 or dist[v] > target - k:
+                        continue
+                    closes = bool(g.adj[v] & rbit)
+                    if closes and k not in (1, target - 1):
+                        continue
+                    path.append(v)
+                    pmask |= 1 << v
+                    # the root's own neighborhood is not banned: adjacency to the
+                    # root means closure and is policed by the position check
+                    yield from extend(v, interior_ban | (0 if k == 1 else g.adj[end]))
+                    path.pop()
+                    pmask ^= 1 << v
 
-def _cycles_of_length(g: Graph, target: int, budget: _Budget) -> Iterator[tuple[int, ...]]:
-    """Induced cycles of exactly the target length, canonical root = minimum
-    vertex, in deterministic order.  Distance-to-root pruning keeps the walk
-    near-geodesic on sparse inputs."""
-    n = g.n
-    for root in range(n):
-        # only vertices above the root may appear, making the root canonical
-        dist = g.bfs_dist(root, g.full_mask() & ~((1 << root) - 1))
-        rbit = 1 << root
-        path = [root]
-        pmask = rbit
-
-        def extend(end: int, interior_ban: int) -> Iterator[tuple[int, ...]]:
-            nonlocal pmask
-            budget.spend()
-            k = len(path)
-            if k == target:
-                if g.adj[end] & rbit:
-                    yield tuple(path)
-                return
-            cand = g.adj[end] & ~interior_ban & ~pmask
-            for v in bits(cand):
-                if v <= root:
-                    continue
-                if dist[v] < 0 or dist[v] > target - k:
-                    continue
-                closes = bool(g.adj[v] & rbit)
-                if closes and k not in (1, target - 1):
-                    continue
-                path.append(v)
-                pmask |= 1 << v
-                # the root's own neighborhood is not banned: adjacency to the
-                # root means closure and is policed by the position check
-                yield from extend(v, interior_ban | (0 if k == 1 else g.adj[end]))
-                path.pop()
-                pmask ^= 1 << v
-            return
-
-        yield from extend(root, 0)
+            yield from extend(root, 0)
 
 
 def find_even_hole(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
     """Shortest-first search for a hole on an even number of vertices."""
-    _check_scale(g, guard, "find_even_hole")
-    if g.n <= _SUBSET_CUTOFF:
-        return _even_hole_by_subsets(g)
-    b = _Budget(budget, "find_even_hole")
-    for target in range(4, g.n + 1, 2):
-        for order in _cycles_of_length(g, target, b):
-            return Witness(
-                "even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),)
-            )
+    b = _start(g, guard, budget, "find_even_hole")
+    if b is None:
+        return None
+    for order in _cycles(g, g.full_mask(), range(4, g.n + 1, 2), b):
+        return Witness(
+            "even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),)
+        )
     return None
 
 
-# -- induced path enumeration (shared by theta / prism) -------------------------
+def find_even_wheel(
+    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
+) -> Witness | None:
+    """A hole plus an outside hub with an even number >= 4 of neighbors on it."""
+    b = _start(g, guard, budget, "find_even_wheel")
+    if b is None:
+        return None
+    for h in range(g.n):
+        if g.degree(h) < 4:
+            continue
+        for order in _cycles(g, g.full_mask() & ~(1 << h), range(4, g.n), b):
+            k = (mask_of(order) & g.adj[h]).bit_count()
+            if k >= 4 and k % 2 == 0:
+                roles = {v: "rim" for v in order}
+                roles[h] = "hub"
+                return Witness(
+                    "even-wheel",
+                    tuple(sorted((h, *order))),
+                    roles,
+                    (("hub", h), ("cycle", order)),
+                )
+    return None
+
+
+# -- three anticomplete paths (shared by theta / prism) ---------------------------
 
 
 def _induced_paths(
@@ -312,7 +318,38 @@ def _induced_paths(
     yield from extend(src, 0)
 
 
-# -- theta ------------------------------------------------------------------------
+def _anticomplete_paths(
+    g: Graph,
+    ends: list[tuple[int, int]],
+    pools: list[int],
+    cap: int,
+    budget: _Budget,
+) -> tuple[tuple[int, ...], ...] | None:
+    """Induced paths of length <= cap, the i-th joining the pair ends[i] with
+    its interior in pools[i], whose interiors are pairwise disjoint and
+    anticomplete: the first such tuple in deterministic order, or None."""
+    for p in _induced_paths(g, *ends[0], pools[0], cap, budget):
+        if len(ends) == 1:
+            return (p,)
+        ban = _closed(g, mask_of(p[1:-1]))
+        rest = _anticomplete_paths(g, ends[1:], [q & ~ban for q in pools[1:]], cap, budget)
+        if rest is not None:
+            return (p, *rest)
+    return None
+
+
+def _shortest_three_paths(g: Graph, candidates, first_cap: int, budget: _Budget):
+    """Cap deepening over candidates(), a generator of (key, ends, pools): at
+    cap = first_cap, first_cap + 1, ... the first candidate with anticomplete
+    paths of length <= cap gives (key, paths), else None.  No path is shorter
+    than first_cap and every candidate was searched exhaustively at cap - 1,
+    so the longest path found has length exactly cap: shortest first."""
+    for cap in range(first_cap, g.n + 1):
+        for key, ends, pools in candidates():
+            paths = _anticomplete_paths(g, ends, pools, cap, budget)
+            if paths is not None:
+                return key, paths
+    return None
 
 
 def find_theta(
@@ -320,51 +357,33 @@ def find_theta(
 ) -> Witness | None:
     """Two non-adjacent ends joined by three induced paths of length >= 2 with
     pairwise disjoint, pairwise anticomplete interiors."""
-    _check_scale(g, guard, "find_theta")
-    b = _Budget(budget, "find_theta")
+    b = _start(g, guard, budget, "find_theta")
+    if b is None:
+        return None
     ends = [v for v in range(g.n) if g.degree(v) >= 3]
     full = g.full_mask()
-    for cap in range(2, g.n + 1):
+
+    def candidates():
         for a in ends:
             for z in ends:
-                if z <= a or g.has_edge(a, z):
-                    continue
-                pool0 = full & ~mask_of((a, z))
-                for p1 in _induced_paths(g, a, z, pool0, cap, b):
-                    if len(p1) < 3:
-                        continue
-                    int1 = mask_of(p1[1:-1])
-                    ban1 = int1
-                    for v in bits(int1):
-                        ban1 |= g.adj[v]
-                    pool1 = pool0 & ~ban1
-                    for p2 in _induced_paths(g, a, z, pool1, cap, b):
-                        if len(p2) < 3:
-                            continue
-                        int2 = mask_of(p2[1:-1])
-                        ban2 = int2
-                        for v in bits(int2):
-                            ban2 |= g.adj[v]
-                        pool2 = pool1 & ~ban2
-                        for p3 in _induced_paths(g, a, z, pool2, cap, b):
-                            if len(p3) < 3:
-                                continue
-                            if max(len(p1), len(p2), len(p3)) - 1 != cap:
-                                continue  # found at an earlier cap already
-                            verts = set(p1) | set(p2) | set(p3)
-                            roles = {v: "interior" for v in verts}
-                            roles[a] = "end"
-                            roles[z] = "end"
-                            return Witness(
-                                "theta",
-                                tuple(sorted(verts)),
-                                roles,
-                                (("ends", (a, z)), ("paths", (p1, p2, p3))),
-                            )
-    return None
+                if z > a and not g.has_edge(a, z):
+                    pool = full & ~mask_of((a, z))
+                    yield (a, z), [(a, z)] * 3, [pool] * 3
 
-
-# -- prism --------------------------------------------------------------------------
+    found = _shortest_three_paths(g, candidates, 2, b)
+    if found is None:
+        return None
+    (a, z), (p1, p2, p3) = found
+    verts = set(p1) | set(p2) | set(p3)
+    roles = {v: "interior" for v in verts}
+    roles[a] = "end"
+    roles[z] = "end"
+    return Witness(
+        "theta",
+        tuple(sorted(verts)),
+        roles,
+        (("ends", (a, z)), ("paths", (p1, p2, p3))),
+    )
 
 
 def _triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -382,131 +401,49 @@ def find_prism(
 ) -> Witness | None:
     """Two disjoint triangles joined by three paths in the line-graph-of-theta
     pattern: paths pairwise anticomplete apart from their own triangle corners."""
-    _check_scale(g, guard, "find_prism")
-    b = _Budget(budget, "find_prism")
+    b = _start(g, guard, budget, "find_prism")
+    if b is None:
+        return None
     tris = _triangles(g)
-    full = g.full_mask()
     tri_pairs = []
     for i in range(len(tris)):
         t1m = mask_of(tris[i])
         for j in range(i + 1, len(tris)):
             if not t1m & mask_of(tris[j]):
                 tri_pairs.append((tris[i], tris[j]))
-    for cap in range(1, g.n + 1):
+    full = g.full_mask()
+
+    def candidates():
         for t1, t2 in tri_pairs:
             t1m, t2m = mask_of(t1), mask_of(t2)
-            for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-                ends = [(t1[i], t2[perm[i]]) for i in range(3)]
+            # interiors avoid all six corners and every other corner's neighborhood
+            ban1 = {u: t1m | t2m | _closed(g, t1m & ~(1 << u)) for u in t1}
+            ban2 = {w: _closed(g, t2m & ~(1 << w)) for w in t2}
+            for matched in permutations(t2):
+                # lists, not tuple() of an iterator: such tuples are allocated
+                # afresh and, once freed, fill the interpreter's tuple free list
+                ends = list(zip(t1, matched))
                 # corners may touch only their matched partner across the triangles
-                ok = True
-                for i in range(3):
-                    for j in range(3):
-                        if i != j and g.has_edge(t1[i], t2[perm[j]]):
-                            ok = False
-                if not ok:
+                if any(g.adj[u] & t2m & ~(1 << w) for u, w in ends):
                     continue
-                found = _prism_paths(g, ends, t1m | t2m, cap, full, b)
-                if found is not None:
-                    p1, p2, p3 = found
-                    if max(len(p1), len(p2), len(p3)) - 1 != cap:
-                        continue
-                    verts = set(t1) | set(t2) | set(p1) | set(p2) | set(p3)
-                    roles = {v: "interior" for v in verts}
-                    for v in t1:
-                        roles[v] = "triangle0"
-                    for v in t2:
-                        roles[v] = "triangle1"
-                    return Witness(
-                        "prism",
-                        tuple(sorted(verts)),
-                        roles,
-                        (("triangles", (t1, tuple(t2[perm[i]] for i in range(3)))), ("paths", (p1, p2, p3))),
-                    )
-    return None
+                yield (t1, matched), ends, [full & ~(ban1[u] | ban2[w]) for u, w in ends]
 
-
-def _prism_paths(g, ends, corner_mask, cap, full, budget):
-    """Three matched corner-to-corner paths with prism-pattern separation."""
-    (a1, b1), (a2, b2), (a3, b3) = ends
-
-    def pool_for(i, banned):
-        # interiors must avoid all six corners and every other corner's neighborhood
-        others = corner_mask & ~mask_of((ends[i][0], ends[i][1]))
-        ban = corner_mask | banned
-        for v in bits(others):
-            ban |= g.adj[v]
-        return full & ~ban
-
-    for p1 in _induced_paths(g, a1, b1, pool_for(0, 0), cap, budget):
-        int1 = mask_of(p1[1:-1])
-        ban1 = int1
-        for v in bits(int1):
-            ban1 |= g.adj[v]
-        for p2 in _induced_paths(g, a2, b2, pool_for(1, ban1), cap, budget):
-            int2 = mask_of(p2[1:-1])
-            ban2 = ban1 | int2
-            for v in bits(int2):
-                ban2 |= g.adj[v]
-            for p3 in _induced_paths(g, a3, b3, pool_for(2, ban2), cap, budget):
-                return p1, p2, p3
-    return None
-
-
-# -- even wheels -----------------------------------------------------------------
-
-
-def find_even_wheel(
-    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
-) -> Witness | None:
-    """A hole plus an outside hub with an even number >= 4 of neighbors on it."""
-    _check_scale(g, guard, "find_even_wheel")
-    hubs = [h for h in range(g.n) if g.degree(h) >= 4]
-    if not hubs:
+    found = _shortest_three_paths(g, candidates, 1, b)
+    if found is None:
         return None
-    if g.n <= _SUBSET_CUTOFF:
-        for h in hubs:
-            rest = [v for v in range(g.n) if v != h]
-            for size in range(4, g.n):
-                for subset in combinations(rest, size):
-                    smask = mask_of(subset)
-                    k = (g.adj[h] & smask).bit_count()
-                    if k < 4 or k % 2:
-                        continue
-                    order = _is_cycle_subset(g, subset, smask)
-                    if order is not None:
-                        roles = {v: "rim" for v in subset}
-                        roles[h] = "hub"
-                        return Witness(
-                            "even-wheel",
-                            tuple(sorted((h, *subset))),
-                            roles,
-                            (("hub", h), ("cycle", order)),
-                        )
-        return None
-    b = _Budget(budget, "find_even_wheel")
-    for h in hubs:
-        sub, idx = _delete_vertex(g, h)
-        back = {v: u for u, v in idx.items()}
-        hub_mask = mask_of(idx[u] for u in bits(g.adj[h]))
-        for target in range(4, sub.n + 1):
-            for order in _cycles_of_length(sub, target, b):
-                k = (mask_of(order) & hub_mask).bit_count()
-                if k >= 4 and k % 2 == 0:
-                    rim = tuple(back[v] for v in order)
-                    roles = {v: "rim" for v in rim}
-                    roles[h] = "hub"
-                    return Witness(
-                        "even-wheel",
-                        tuple(sorted((h, *rim))),
-                        roles,
-                        (("hub", h), ("cycle", rim)),
-                    )
-    return None
-
-
-def _delete_vertex(g: Graph, v: int):
-    keep = [u for u in range(g.n) if u != v]
-    return induced_subgraph(g, keep)
+    (t1, t2), (p1, p2, p3) = found
+    verts = set(t1) | set(t2) | set(p1) | set(p2) | set(p3)
+    roles = {v: "interior" for v in verts}
+    for v in t1:
+        roles[v] = "triangle0"
+    for v in t2:
+        roles[v] = "triangle1"
+    return Witness(
+        "prism",
+        tuple(sorted(verts)),
+        roles,
+        (("triangles", (t1, t2)), ("paths", (p1, p2, p3))),
+    )
 
 
 # -- cliques and bicliques ----------------------------------------------------------
@@ -752,12 +689,7 @@ def anticomplete_family(
         if m & taken:
             raise InvalidInput("anticomplete_family requires pairwise disjoint sets")
         taken |= m
-    closed = []
-    for m in masks:
-        reach = m
-        for v in bits(m):
-            reach |= g.adj[v]
-        closed.append(reach)
+    closed = [_closed(g, m) for m in masks]
     k = len(masks)
     compat = [0] * k
     for i in range(k):

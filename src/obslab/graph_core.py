@@ -2,8 +2,9 @@
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
 per vertex (bit v of ``adj[u]`` set iff uv is an edge), which makes
-neighborhood intersection, stability checks and subset enumeration cheap:
-all the detectors downstream are subset-enumeration bound.
+neighborhood intersection, stability checks and path growing cheap: the
+detectors downstream extend induced paths one vertex at a time and keep
+their bans and pools as masks.
 
 Graphs are immutable after construction; every operation here is pure.
 """
@@ -367,10 +368,14 @@ def graph_to_json_obj(g: Graph) -> dict:
 
 def graph_from_json_obj(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        n = obj["n"]
+        edges = [(u, v) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed graph object: {exc}") from exc
+    for x in [n, *(u for edge in edges for u in edge)]:
+        # bool is a subclass of int, and JSON true is no vertex
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise InvalidInput(f"malformed graph object: {x!r} is not an integer")
     return Graph.from_edges(n, edges)
 
 

@@ -154,6 +154,18 @@ def test_exit_codes_on_malformed_input():
     assert code == 1
 
 
+def test_detect_rejects_non_integer_json(capsys):
+    code, out = run_cli(["detect", "even-hole"], '{"n":3.9,"edges":[[0,1.7],[true,2]]}')
+    assert code == 1 and out == ""
+    assert "not an integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_empty_suite(capsys):
+    code, out = run_cli(["verify", "obstructions", "--t", "0"])
+    assert code == 1 and out == ""
+    assert "no instances" in capsys.readouterr().err
+
+
 def test_verify_report_deterministic():
     code1, out1 = run_cli(["verify", "ramsey", "--c", "2", "--s", "2", "--seed", "3", "--samples", "20"])
     code2, out2 = run_cli(["verify", "ramsey", "--c", "2", "--s", "2", "--seed", "3", "--samples", "20"])

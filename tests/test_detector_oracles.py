@@ -1,5 +1,6 @@
-"""Dual-route checks: each path-growing detector against an independent
-pattern-library search built on the induced-subgraph matcher."""
+"""Oracle checks: each path-growing detector against an independent search,
+either a pattern library built on the induced-subgraph matcher or a subset
+scan."""
 
 from hypothesis import given, settings
 
@@ -9,11 +10,12 @@ from obslab.graph_core import Graph
 from obslab.rng import SplitMix
 
 from .conftest import graphs
+from .subset_oracles import even_hole_by_subsets, is_cycle_subset
 
 
 def _theta_patterns(max_n=8):
-    """All theta graphs on at most max_n vertices: two ends joined by three
-    chains of chosen lengths >= 2."""
+    """All theta graphs on at most max_n vertices, each with its longest chain
+    length: two ends joined by three chains of chosen lengths >= 2."""
     out = []
     for l1 in range(2, max_n):
         for l2 in range(l1, max_n):
@@ -30,13 +32,13 @@ def _theta_patterns(max_n=8):
                         prev = nxt
                         nxt += 1
                     edges.append((prev, 1))
-                out.append(Graph.from_edges(n, edges))
+                out.append((l3, Graph.from_edges(n, edges)))
     return out
 
 
 def _prism_patterns(max_n=8):
-    """All prisms on at most max_n vertices: two triangles matched by three
-    chains of chosen lengths >= 1."""
+    """All prisms on at most max_n vertices, each with its longest chain
+    length: two triangles matched by three chains of chosen lengths >= 1."""
     out = []
     for l1 in range(1, max_n):
         for l2 in range(l1, max_n):
@@ -53,7 +55,7 @@ def _prism_patterns(max_n=8):
                         prev = nxt
                         nxt += 1
                     edges.append((prev, 3 + i))
-                out.append(Graph.from_edges(n, edges))
+                out.append((l3, Graph.from_edges(n, edges)))
     return out
 
 
@@ -66,7 +68,7 @@ PRISMS = _prism_patterns()
 def test_theta_matches_pattern_library(g):
     found = det.find_theta(g)
     oracle = any(
-        p.n <= g.n and det.contains_induced(g, p) is not None for p in THETAS
+        p.n <= g.n and det.contains_induced(g, p) is not None for _, p in THETAS
     )
     assert (found is not None) == oracle
     if found is not None:
@@ -78,22 +80,48 @@ def test_theta_matches_pattern_library(g):
 def test_prism_matches_pattern_library(g):
     found = det.find_prism(g)
     oracle = any(
-        p.n <= g.n and det.contains_induced(g, p) is not None for p in PRISMS
+        p.n <= g.n and det.contains_induced(g, p) is not None for _, p in PRISMS
     )
     assert (found is not None) == oracle
     if found is not None:
         assert det.validate_witness(g, found)
 
 
+def _shortest_contained(g, patterns):
+    """Smallest longest-chain length over the patterns g contains, or None."""
+    lengths = [l3 for l3, p in patterns if p.n <= g.n and det.contains_induced(g, p) is not None]
+    return min(lengths, default=None)
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_theta_is_shortest_first(g):
+    w = det.find_theta(g)
+    best = _shortest_contained(g, THETAS)
+    assert (w is None) == (best is None)
+    if w is not None:
+        assert max(len(p) for p in w.detail_map()["paths"]) - 1 == best
+
+
+@given(graphs(max_n=8))
+@settings(max_examples=60, deadline=None)
+def test_prism_is_shortest_first(g):
+    w = det.find_prism(g)
+    best = _shortest_contained(g, PRISMS)
+    assert (w is None) == (best is None)
+    if w is not None:
+        assert max(len(p) for p in w.detail_map()["paths"]) - 1 == best
+
+
 def test_even_hole_routes_agree_at_production_sizes():
-    # above the subset cutoff the detector switches to path growing; compare
-    # the two routes directly there
+    # the path-growing detector against the subset scan above the sizes the
+    # hypothesis tests draw
     rng = SplitMix(17)
     for _ in range(6):
         n = 19 + rng.below(3)
         g = random_graph(n, rng.next_u64(), 1 + rng.below(2), 10)
         w = det.find_even_hole(g)
-        subset = det._even_hole_by_subsets(g)
+        subset = even_hole_by_subsets(g)
         assert (w is not None) == (subset is not None)
         if w is not None:
             assert det.validate_witness(g, w)
@@ -101,10 +129,19 @@ def test_even_hole_routes_agree_at_production_sizes():
 
 
 def test_pattern_library_sizes():
-    assert min(p.n for p in THETAS) == 5  # the smallest theta is K_{2,3}
-    assert min(p.n for p in PRISMS) == 6
-    assert all(det.find_theta(p) is not None for p in THETAS)
-    assert all(det.find_prism(p) is not None for p in PRISMS)
+    assert min(p.n for _, p in THETAS) == 5  # the smallest theta is K_{2,3}
+    assert min(p.n for _, p in PRISMS) == 6
+    assert all(det.find_theta(p) is not None for _, p in THETAS)
+    assert all(det.find_prism(p) is not None for _, p in PRISMS)
+
+
+@given(graphs(max_n=9))
+@settings(max_examples=60, deadline=None)
+def test_even_wheel_matches_brute_force(g):
+    w = det.find_even_wheel(g)
+    assert (w is not None) == _brute_even_wheel(g)
+    if w is not None:
+        assert det.validate_witness(g, w)
 
 
 def test_even_wheel_routes_agree_at_production_sizes():
@@ -137,6 +174,6 @@ def _brute_even_wheel(g):
                 k = (g.adj[h] & smask).bit_count()
                 if k < 4 or k % 2:
                     continue
-                if det._is_cycle_subset(g, sub, smask) is not None:
+                if is_cycle_subset(g, sub, smask) is not None:
                     return True
     return False

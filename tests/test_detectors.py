@@ -20,6 +20,7 @@ from obslab.graph_core import Digraph, Graph, line_graph, set_relation
 from obslab.rng import SplitMix
 
 from .conftest import graphs
+from .subset_oracles import even_hole_by_subsets
 
 
 def _oracle_even_hole(g):
@@ -62,31 +63,15 @@ def test_even_hole_cases():
     assert det.find_even_hole(cone(path_graph(3))) is None  # diamond
 
 
-@given(graphs(max_n=10))
+@given(graphs(max_n=12))
 @settings(max_examples=60, deadline=None)
 def test_even_hole_matches_oracle(g):
     w = det.find_even_hole(g)
     assert (w is not None) == _oracle_even_hole(g)
     if w is not None:
         assert det.validate_witness(g, w)
-
-
-@given(graphs(min_n=4, max_n=12))
-@settings(max_examples=30, deadline=None)
-def test_even_hole_dfs_route_agrees_with_subsets(g):
-    # drive the path-growing route below its usual cutoff and compare
-    subset = det._even_hole_by_subsets(g)
-    budget = det._Budget(det.DEFAULT_BUDGET, "test")
-    dfs_found = None
-    for target in range(4, g.n + 1, 2):
-        for order in det._cycles_of_length(g, target, budget):
-            dfs_found = order
-            break
-        if dfs_found:
-            break
-    assert (subset is not None) == (dfs_found is not None)
-    if subset is not None:
-        assert len(subset.vertices) == len(dfs_found)
+        # shortest first: as small as the first even hole of the subset scan
+        assert len(w.vertices) == len(even_hole_by_subsets(g).vertices)
 
 
 def test_theta_cases():
@@ -170,6 +155,15 @@ def test_scale_guard():
         det.find_even_hole(big)
     with pytest.raises(ScaleLimit):
         det.find_theta(big, guard=64)
+
+
+def test_chordal_inputs_spend_no_budget():
+    # every hole-based structure contains a hole, so chordality alone
+    # certifies absence: not one search node may be spent
+    for seed in range(3):
+        g = k_tree_random(3, 60, seed)
+        for finder in (det.find_even_hole, det.find_even_wheel, det.find_theta, det.find_prism):
+            assert finder(g, budget=0) is None
 
 
 def test_k_tree_checks():

@@ -141,6 +141,22 @@ def test_json_canonical_text():
     assert dumps_graph(loads_graph(text)) == text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n":3.9,"edges":[[0,1.7],[true,2]]}',
+        '{"n":3.0,"edges":[]}',
+        '{"n":3,"edges":[[0,1.7]]}',
+        '{"n":3,"edges":[[true,2]]}',
+        '{"n":"3","edges":[]}',
+        '{"n":true,"edges":[]}',
+    ],
+)
+def test_json_rejects_non_integers(text):
+    with pytest.raises(InvalidInput):
+        loads_graph(text)
+
+
 def test_edge_list_header_mismatch():
     with pytest.raises(InvalidInput):
         from_edge_list("2 2\n0 1\n")

@@ -17,6 +17,8 @@ from obslab.rng import SplitMix
 from obslab.structures import crystal_realizes_graph, ekey
 from obslab.treewidth import treewidth_exact
 
+from .subset_oracles import is_cycle_subset
+
 
 def _all_holes(g):
     """Every induced cycle on >= 4 vertices, by subset scan."""
@@ -24,7 +26,7 @@ def _all_holes(g):
     for size in range(4, g.n + 1):
         for sub in itertools.combinations(range(g.n), size):
             smask = mask_of(sub)
-            order = det._is_cycle_subset(g, sub, smask)
+            order = is_cycle_subset(g, sub, smask)
             if order is not None:
                 out.append((smask, order))
     return out
