@@ -2,17 +2,16 @@
 """Bounded counterexample probe: observe the maximum exact treewidth among
 small graphs excluding an even hole, a chosen 2-forest and a clique.
 
-Never conclusive; it only records what the desk-scale corpus shows.
+Never conclusive; it only records what the desk-scale corpus shows.  The scan
+is the one `obslab scan-conjecture` runs, with the diamond as the pattern.
 
 Usage: python scripts/conjecture_probe.py [--t 4] [--n 8] [--samples 100]
 """
 
 import argparse
 
-from obslab import detectors as det
-from obslab.generators import cone, enumerate_graphs, path_graph, random_graph
-from obslab.rng import SplitMix
-from obslab.treewidth import treewidth_exact
+from obslab.generators import cone, path_graph
+from obslab.suites import scan_conjecture
 
 
 def main() -> int:
@@ -23,28 +22,10 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
     pattern = cone(path_graph(3))  # the diamond, the smallest coned path
-    rng = SplitMix(args.seed)
-    best = (-1, None)
-    checked = 0
-    for n in range(1, args.n + 1):
-        pool = (
-            enumerate_graphs(n)
-            if n <= 7
-            else [random_graph(n, rng.next_u64(), 1 + rng.below(9), 10) for _ in range(args.samples)]
-        )
-        for g in pool:
-            if det.find_even_hole(g) is not None:
-                continue
-            if det.find_clique(g, args.t) is not None:
-                continue
-            if pattern.n <= g.n and det.contains_induced(g, pattern) is not None:
-                continue
-            checked += 1
-            w, _ = treewidth_exact(g)
-            if w > best[0]:
-                best = (w, g.edges())
+    checked, best, records = scan_conjecture(pattern, args.t, args.n, args.samples, args.seed)
+    edges = tuple(map(tuple, records[-1]["edges"])) if records else None
     print(f"checked {checked} (even-hole, diamond, K_{args.t})-free graphs up to n={args.n}")
-    print(f"max exact treewidth observed: {best[0]} at edges {best[1]}")
+    print(f"max exact treewidth observed: {best} at edges {edges}")
     print("this scan is a probe, not evidence either way")
     return 0
 

@@ -13,6 +13,7 @@ byte apart from the elapsed field on the summary line.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -24,7 +25,7 @@ from . import graph_core as gc
 from . import structures as st
 from . import treewidth as tw
 from .errors import InvalidInput, ScaleLimit
-from .suites import SUITES
+from .suites import SUITES, scan_conjecture
 
 SCHEMA_VERSION = 1
 
@@ -311,21 +312,19 @@ def _emit_violation(out: "ext.HypothesisViolation") -> int:
 # -- verify -----------------------------------------------------------------------
 
 
+# verify flag -> suite parameter; a suite gets the flags its signature names
+# and that the user set, and its own defaults for the rest
+_VERIFY_FLAGS = {"t": "t_max", "n": "n_max", "c": "c", "s": "s", "samples": "samples", "seed": "seed"}
+
+
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
-    kwargs = {}
-    if args.suite == "obstructions":
-        kwargs = {"t_max": args.t, "seed": args.seed or 0, "subdivision_samples": args.samples or 5}
-    elif args.suite == "class-containment":
-        kwargs = {"n_max": args.n or 7}
-    elif args.suite == "contraption":
-        kwargs = {"samples": args.samples or 200, "n_max": args.n or 10, "seed": args.seed or 0}
-    elif args.suite == "crystallized":
-        kwargs = {"samples": args.samples or 200, "seed": args.seed or 0}
-    elif args.suite == "extractors":
-        kwargs = {"samples": args.samples or 100, "seed": args.seed or 0}
-    elif args.suite == "ramsey":
-        kwargs = {"c": args.c, "s": args.s, "seed": args.seed or 0, "samples": args.samples or 300}
+    params = inspect.signature(suite).parameters
+    kwargs = {
+        param: getattr(args, flag)
+        for flag, param in _VERIFY_FLAGS.items()
+        if param in params and getattr(args, flag) is not None
+    }
     t0 = time.perf_counter()
     records = suite(**kwargs)
     elapsed = time.perf_counter() - t0
@@ -334,7 +333,7 @@ def cmd_verify(args) -> int:
     header = {
         "schema": SCHEMA_VERSION,
         "command": f"verify {args.suite}",
-        "seed": args.seed or 0,
+        "seed": 0 if args.seed is None else args.seed,
     }
     _emit(header)
     failures = 0
@@ -366,34 +365,12 @@ def cmd_scan_conjecture(args) -> int:
     header = {
         "schema": SCHEMA_VERSION,
         "command": "scan-conjecture",
-        "seed": args.seed or 0,
+        "seed": args.seed,
         "t": args.t,
         "n_max": args.n,
     }
     _emit(header)
-    from .rng import SplitMix
-
-    rng = SplitMix(args.seed or 0)
-    best = -1
-    checked = 0
-    records = []
-    for n in range(1, args.n + 1):
-        if n <= 7:
-            pool = gen.enumerate_graphs(n)
-        else:
-            pool = [gen.random_graph(n, rng.next_u64(), 1 + rng.below(9), 10) for _ in range(args.samples)]
-        for g in pool:
-            if det.find_even_hole(g) is not None:
-                continue
-            if det.find_clique(g, args.t) is not None:
-                continue
-            if h.n <= g.n and det.contains_induced(g, h) is not None:
-                continue
-            checked += 1
-            width, _ = tw.treewidth_exact(g)
-            if width > best:
-                best = width
-                records.append({"n": n, "treewidth": width, "edges": [list(e) for e in g.edges()]})
+    checked, best, records = scan_conjecture(h, args.t, args.n, args.samples, args.seed)
     for rec in records:
         _emit(rec)
     _emit({"checked": checked, "max_treewidth_observed": best, "conclusive": False})
@@ -425,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("tw", help="treewidth of the stdin graph")
-    p.add_argument("--exact", action="store_true", default=True)
     p.add_argument("--bounds", action="store_true")
     p.add_argument("--exact-guard", type=int, default=tw.DEFAULT_EXACT_GUARD)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
@@ -451,12 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
-    p.add_argument("--t", type=int, default=3)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--c", type=int, default=3)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for flag in _VERIFY_FLAGS:
+        p.add_argument(f"--{flag}", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-conjecture", help="bounded, non-conclusive counterexample scan")

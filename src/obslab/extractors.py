@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 from .detectors import is_k_tree
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, bits, is_anticomplete_to, is_clique, is_stable_set, mask_of
+from .graph_core import Graph, bits, induced_subgraph, is_anticomplete_to, is_clique, is_stable_set, mask_of
 from .structures import (
     Crystal,
     Phantom,
+    crystallized_sides,
     ekey,
     is_clear_crystal,
+    is_crystallized,
     sub_phantom,
     validate_crystal,
     validate_phantom,
@@ -83,10 +85,14 @@ def find_crystallized_vertex(
 
     def solve(g: Graph, active: int) -> tuple[int, int, int, frozenset[int], frozenset[int]]:
         if active.bit_count() == 4:
-            z = next(u for u in bits(active) if (g.adj[u] & active).bit_count() == 3)
-            hit, cert = _crystallized_within(g, active, z)
-            assert hit, "a four-vertex 2-tree is a diamond"
-            return (z, *cert)
+            # a four-vertex 2-tree is a diamond; induced_subgraph keeps the
+            # labels in order, so its least certificate maps back unchanged
+            old = list(bits(active))
+            diamond, _ = induced_subgraph(g, old)
+            z = next(u for u in range(4) if diamond.degree(u) == 3)
+            _, (z1, z2, s1, s2) = is_crystallized(diamond, z)
+            side1, side2 = (frozenset(old[x] for x in s) for s in (s1, s2))
+            return old[z], old[z1], old[z2], side1, side2
         v = next(
             u
             for u in bits(active)
@@ -118,52 +124,9 @@ def find_crystallized_vertex(
         assert other == z2, "peeled vertex broke the certificate shape"
         return z, z1, z2, s1, s2 | {v}
 
-    z, cert = None, None
     z, z1, z2, s1, s2 = solve(nabla, nabla.full_mask())
-    assert _cert_valid(nabla, z, (z1, z2, s1, s2)), "patched certificate failed"
+    assert crystallized_sides(nabla, z, z1, z2) == (s1, s2), "patched certificate failed"
     return z, (z1, z2, s1, s2)
-
-
-def _crystallized_within(g: Graph, active: int, z: int):
-    sub_nbrs = list(bits(g.adj[z] & active))
-    for ai in range(len(sub_nbrs)):
-        for bi in range(ai + 1, len(sub_nbrs)):
-            z1, z2 = sub_nbrs[ai], sub_nbrs[bi]
-            if not g.has_edge(z1, z2):
-                continue
-            rest = [x for x in sub_nbrs if x not in (z1, z2)]
-            if not rest:
-                continue
-            s1, s2 = [], []
-            ok = True
-            for x in rest:
-                nb = g.adj[x] & active
-                if nb == mask_of((z1, z)):
-                    s1.append(x)
-                elif nb == mask_of((z2, z)):
-                    s2.append(x)
-                else:
-                    ok = False
-                    break
-            if ok:
-                return True, (z1, z2, frozenset(s1), frozenset(s2))
-    return False, None
-
-
-def _cert_valid(g: Graph, z: int, cert) -> bool:
-    z1, z2, s1, s2 = cert
-    if not (g.has_edge(z1, z2) and g.has_edge(z, z1) and g.has_edge(z, z2)):
-        return False
-    if not (s1 | s2):
-        return False
-    if not is_stable_set(g, s1 | s2):
-        return False
-    for i, side in enumerate((s1, s2)):
-        anchor = (z1, z2)[i]
-        for x in side:
-            if g.adj[x] != mask_of((anchor, z)):
-                return False
-    return True
 
 
 # -- crystal clearing ----------------------------------------------------------

@@ -8,6 +8,7 @@ re-checked against a rebuilt or deserialized graph.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -233,7 +234,6 @@ def crystal_realizes_graph(g: Graph, c: Crystal):
 
     if not is_clear_crystal(g, c):
         return None
-    anchors = (c.z1, c.z2)
     for z in c.S:
         if not (g.has_edge(z, c.z1) and g.has_edge(z, c.z2)):
             return None
@@ -349,40 +349,33 @@ def contraption(g: Graph, z1: int, z2: int) -> tuple[Graph, int, dict[int, int]]
 # -- crystallized vertices -------------------------------------------------------
 
 
+def crystallized_sides(
+    h: Graph, z: int, z1: int, z2: int
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The sides (s1, s2) certifying z as crystallized at the anchor edge
+    z1 z2, or None: z, z1, z2 is a triangle and every other neighbor of z has
+    neighborhood exactly {z, z1} (side 1) or {z, z2} (side 2), and there is
+    at least one such neighbor."""
+    if not (h.has_edge(z1, z2) and h.has_edge(z, z1) and h.has_edge(z, z2)):
+        return None
+    rest = h.adj[z] & ~mask_of((z1, z2))
+    s1 = frozenset(x for x in bits(rest) if h.adj[x] == mask_of((z, z1)))
+    s2 = frozenset(x for x in bits(rest) if h.adj[x] == mask_of((z, z2)))
+    if not rest or mask_of(s1 | s2) != rest:
+        return None
+    return s1, s2
+
+
 def is_crystallized(
     h: Graph, z: int
 ) -> tuple[bool, tuple[int, int, frozenset[int], frozenset[int]] | None]:
-    """Search z's neighborhood for an anchor edge splitting the rest per the
-    degree-two pattern; returns the lexicographically least certificate.
-
-    One empty side is legal as long as the non-anchor part of the
-    neighborhood is non-empty.
-    """
+    """Search z's neighborhood for an anchor edge with crystallized sides;
+    returns the lexicographically least certificate."""
     check_vertex_set(h, (z,))
-    nbrs = h.neighbors(z)
-    for ai in range(len(nbrs)):
-        for bi in range(ai + 1, len(nbrs)):
-            z1, z2 = nbrs[ai], nbrs[bi]
-            if not h.has_edge(z1, z2):
-                continue
-            rest = [x for x in nbrs if x not in (z1, z2)]
-            if not rest:
-                continue
-            if not is_stable_set(h, rest):
-                continue
-            s1, s2 = [], []
-            ok = True
-            for x in rest:
-                nb = h.adj[x]
-                if nb == mask_of((z1, z)):
-                    s1.append(x)
-                elif nb == mask_of((z2, z)):
-                    s2.append(x)
-                else:
-                    ok = False
-                    break
-            if ok:
-                return True, (z1, z2, frozenset(s1), frozenset(s2))
+    for z1, z2 in itertools.combinations(h.neighbors(z), 2):
+        sides = crystallized_sides(h, z, z1, z2)
+        if sides is not None:
+            return True, (z1, z2, *sides)
     return False, None
 
 

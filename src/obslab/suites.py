@@ -5,6 +5,7 @@ thing.
 
 Each suite returns a list of per-instance record dicts (deterministic given
 the knobs and seed) followed by a tally; timing never enters the records.
+The bounded conjecture scan behind `scan-conjecture` lives here too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from . import extractors as ext
 from . import generators as gen
 from . import structures as st
 from . import treewidth as tw
+from .errors import InvalidInput
 from .graph_core import Graph, bits
 from .rng import SplitMix
 
@@ -45,6 +47,8 @@ def seeded_sparse_graphs(count: int, seed: int, n_lo: int = 4, n_hi: int = 10, m
 def seeded_members_with_edge(count: int, seed: int, n_hi: int = 10):
     """Members of the four-structure-free class together with an edge whose
     common neighborhood is a stable set of degree-<=3 vertices."""
+    if n_hi < 4:
+        raise InvalidInput(f"members have 4 to n_hi vertices, so n_hi must be at least 4, got {n_hi}")
     rng = SplitMix(seed)
     out = []
     while len(out) < count:
@@ -85,7 +89,7 @@ def seeded_even_hole_triangle_free(count: int, seed: int, n_hi: int = 10):
 # -- suites -------------------------------------------------------------------------
 
 
-def suite_obstructions(t_max: int = 3, seed: int = 0, subdivision_samples: int = 5) -> list[dict]:
+def suite_obstructions(t_max: int = 3, seed: int = 0, samples: int = 5) -> list[dict]:
     """Treewidth of the basic obstruction families plus the even-hole /
     theta / prism content of the non-complete ones."""
     records = []
@@ -112,7 +116,7 @@ def suite_obstructions(t_max: int = 3, seed: int = 0, subdivision_samples: int =
     for t in (3, 4):
         if t > t_max + 1:
             continue
-        for _ in range(subdivision_samples):
+        for _ in range(samples):
             s = rng.next_u64()
             for kind in ("biclique", "wall", "line_of_wall"):
                 g = gen.basic_obstruction(t, kind, seed=s)
@@ -178,10 +182,9 @@ def suite_crystallized(samples: int = 200, seed: int = 0, n_lo: int = 4, n_hi: i
     for i in range(samples):
         n = n_lo + rng.below(n_hi - n_lo + 1)
         g = gen.k_tree_random(2, n, rng.next_u64())
-        z, cert = ext.find_crystallized_vertex(g)
+        z, (z1, z2, s1, s2) = ext.find_crystallized_vertex(g)
         brute_ok, _ = st.is_crystallized(g, z)
-        z1, z2, s1, s2 = cert
-        cert_ok = ext._cert_valid(g, z, cert)
+        cert_ok = st.crystallized_sides(g, z, z1, z2) == (s1, s2)
         records.append(_record(i, f"crystallized n={n}", brute_ok and cert_ok, vertex=z))
     return records
 
@@ -344,6 +347,40 @@ def suite_ramsey(c: int = 3, s: int = 2, seed: int = 0, samples: int = 300) -> l
         _record(i, f"tournament-or-stable n={n_t} c={tc} s={ts}", bad == 0, count=len(digraphs))
     )
     return records
+
+
+def scan_conjecture(h: Graph, t: int, n_max: int, samples: int = 50, seed: int = 0):
+    """Bounded, never conclusive counterexample scan: exact treewidth of the
+    graphs on at most n_max vertices with no even hole, no K_t and no induced
+    h, over every class up to 7 vertices and `samples` seeded random graphs
+    of each larger size.
+
+    Returns (checked, best, records): how many graphs passed the filters, the
+    largest width among them (-1 if none), and one record per graph that
+    raised the running maximum.
+    """
+    rng = SplitMix(seed)
+    best = -1
+    checked = 0
+    records = []
+    for n in range(1, n_max + 1):
+        if n <= 7:
+            pool = gen.enumerate_graphs(n)
+        else:
+            pool = [gen.random_graph(n, rng.next_u64(), 1 + rng.below(9), 10) for _ in range(samples)]
+        for g in pool:
+            if det.find_even_hole(g) is not None:
+                continue
+            if det.find_clique(g, t) is not None:
+                continue
+            if h.n <= g.n and det.contains_induced(g, h) is not None:
+                continue
+            checked += 1
+            width, _ = tw.treewidth_exact(g)
+            if width > best:
+                best = width
+                records.append({"n": n, "treewidth": width, "edges": [list(e) for e in g.edges()]})
+    return checked, best, records
 
 
 SUITES = {

@@ -8,6 +8,7 @@ from obslab import cli
 from obslab.generators import complete, cone, path_graph, plant_crystal, plant_phantom
 from obslab.graph_core import dumps_graph, loads_graph
 from obslab.structures import crystal_to_json_obj, phantom_to_json_obj
+from obslab.suites import suite_crystallized
 
 
 def run_cli(argv, stdin_text=""):
@@ -46,7 +47,7 @@ def test_gen_edgelist_format():
 
 def test_pipeline_wall_tw():
     _, g = run_cli(["gen", "wall", "3"])
-    code, out = run_cli(["tw", "--exact"], g)
+    code, out = run_cli(["tw"], g)
     assert code == 0
     header = out.splitlines()[0].split()
     assert header[:2] == ["s", "td"] and int(header[3]) - 1 == 3
@@ -164,6 +165,22 @@ def test_verify_rejects_empty_suite(capsys):
     code, out = run_cli(["verify", "obstructions", "--t", "0"])
     assert code == 1 and out == ""
     assert "no instances" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["crystallized", "--samples", "0"], ["class-containment", "--n", "0"], ["contraption", "--n", "0"]],
+)
+def test_verify_keeps_an_explicit_zero(argv):
+    code, out = run_cli(["verify", *argv])
+    assert code == 1 and out == ""
+
+
+def test_verify_defaults_belong_to_the_suite():
+    code, out = run_cli(["verify", "crystallized"])
+    assert code == 0
+    lines = [json.loads(x) for x in out.splitlines()]
+    assert lines[1:-1] == suite_crystallized()
 
 
 def test_verify_report_deterministic():

@@ -14,7 +14,7 @@ from obslab.generators import (
 )
 from obslab.graph_core import Graph
 from obslab.rng import SplitMix
-from obslab.structures import is_clear_crystal, is_crystallized, validate_crystal
+from obslab.structures import crystallized_sides, is_clear_crystal, is_crystallized, validate_crystal
 
 
 # -- crystallized vertex extraction -------------------------------------------
@@ -34,7 +34,8 @@ def find_ok(g):
     z, cert = ext.find_crystallized_vertex(g)
     ok, _ = is_crystallized(g, z)
     assert ok
-    assert ext._cert_valid(g, z, cert)
+    z1, z2, s1, s2 = cert
+    assert crystallized_sides(g, z, z1, z2) == (s1, s2)
     return z, cert
 
 

@@ -22,6 +22,7 @@ from obslab.structures import (
     crystal_from_json_obj,
     crystal_realizes_graph,
     crystal_to_json_obj,
+    crystallized_sides,
     is_clear_crystal,
     is_crystallized,
     is_mirrored,
@@ -280,6 +281,19 @@ def test_is_crystallized_empty_side_allowed():
     diamond = cone(path_graph(3))
     ok, (z1, z2, s1, s2) = is_crystallized(diamond, 1)
     assert ok and (not s1 or not s2) and (s1 or s2)
+
+
+def test_crystallized_sides_cover_the_neighborhood():
+    # 0 sees the anchor edge 12, leaf 3 on side 1 and leaf 4 on side 2
+    g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (1, 3), (0, 3), (2, 4), (0, 4)])
+    sides = crystallized_sides(g, 0, 1, 2)
+    assert sides == (frozenset({3}), frozenset({4}))
+    assert sides != (frozenset({3}), frozenset())  # a certificate omitting leaf 4
+    assert crystallized_sides(g, 0, 1, 3) is None  # 2 and 4 are not leaves of 1 or 3
+    assert crystallized_sides(g, 0, 3, 4) is None  # not a triangle
+    assert crystallized_sides(complete(3), 0, 1, 2) is None  # no leaf at all
+    spiked = Graph.from_edges(5, list(g.edges()) + [(3, 4)])
+    assert crystallized_sides(spiked, 0, 1, 2) is None  # leaves must be private
 
 
 def test_apex_edge_destroys_clearness():
