@@ -56,57 +56,56 @@ def _emit(obj) -> None:
 # -- gen -----------------------------------------------------------------------
 
 
+# family -> (parameter count, builder from the integer parameters and the
+# parsed arguments); crystal takes that count per arm, and obstruction's
+# second parameter is its kind name
+_FAMILIES = {
+    "complete": (1, lambda p, a: gen.complete(*p)),
+    "biclique": (2, lambda p, a: gen.complete_bipartite(*p)),
+    "cycle": (1, lambda p, a: gen.cycle(*p)),
+    "path": (1, lambda p, a: gen.path_graph(*p)),
+    "cone-path": (1, lambda p, a: gen.cone(gen.path_graph(p[0] + 1))),
+    "wall": (1, lambda p, a: gen.wall(*p)),
+    "tree": (2, lambda p, a: gen.tree_T(*p)[0]),
+    "double-star": (2, lambda p, a: gen.double_star(*p)[0]),
+    "crystal": (
+        2,
+        lambda p, a: gen.crystal_graph(gen.CrystalSpec(len(p) // 2, tuple(zip(p[::2], p[1::2])))),
+    ),
+    "k-tree": (2, lambda p, a: gen.k_tree_random(*p, a.seed)),
+    "obstruction": (2, lambda p, a: gen.basic_obstruction(*p, seed=a.seed)),
+    "planted-phantom": (
+        3,
+        lambda p, a: gen.plant_phantom(gen.complete(p[0]), *p[1:], seed=a.seed, density=a.density),
+    ),
+    "planted-crystal": (2, lambda p, a: gen.plant_crystal(*p, noise_seed=a.seed)),
+}
+
+
 def cmd_gen(args) -> int:
-    name = args.family
+    name, params = args.family, args.params
     seed_needed = name in ("k-tree", "obstruction", "planted-phantom", "planted-crystal")
     if seed_needed and args.seed is None:
         raise InvalidInput(f"family {name!r} is randomized: --seed is mandatory")
-    p = args.params
-    if name == "complete":
-        g = gen.complete(_int(p, 0))
-    elif name == "biclique":
-        g = gen.complete_bipartite(_int(p, 0), _int(p, 1))
-    elif name == "cycle":
-        g = gen.cycle(_int(p, 0))
-    elif name == "path":
-        g = gen.path_graph(_int(p, 0))
-    elif name == "cone-path":
-        g = gen.cone(gen.path_graph(_int(p, 0) + 1))
-    elif name == "wall":
-        g = gen.wall(_int(p, 0))
-    elif name == "tree":
-        g = gen.tree_T(_int(p, 0), _int(p, 1))[0]
-    elif name == "double-star":
-        g = gen.double_star(_int(p, 0), _int(p, 1))[0]
-    elif name == "crystal":
-        arms = list(zip(map(int, p[0::2]), map(int, p[1::2])))
-        g = gen.crystal_graph(gen.CrystalSpec(len(arms), tuple(arms)))
-    elif name == "k-tree":
-        g = gen.k_tree_random(_int(p, 0), _int(p, 1), args.seed)
-    elif name == "obstruction":
-        if len(p) < 2:
-            raise InvalidInput("obstruction needs a parameter t and a kind")
-        g = gen.basic_obstruction(_int(p, 0), p[1], seed=args.seed)
-    elif name == "planted-phantom":
-        base = gen.complete(_int(p, 0))
-        host, ph = gen.plant_phantom(base, _int(p, 1), _int(p, 2), seed=args.seed, density=args.density)
-        _emit({"graph": gc.graph_to_json_obj(host), "phantom": st.phantom_to_json_obj(ph)})
-        return EXIT_OK
-    elif name == "planted-crystal":
-        host, c = gen.plant_crystal(_int(p, 0), _int(p, 1), noise_seed=args.seed)
-        _emit({"graph": gc.graph_to_json_obj(host), "crystal": st.crystal_to_json_obj(c)})
-        return EXIT_OK
-    else:
+    if name not in _FAMILIES:
         raise InvalidInput(f"unknown family {name!r}")
-    _emit_graph(g, args)
-    return EXIT_OK
-
-
-def _int(params, i) -> int:
+    count, build = _FAMILIES[name]
+    if len(params) % count if name == "crystal" else len(params) != count:
+        per = " per arm" if name == "crystal" else ""
+        raise InvalidInput(f"family {name!r} takes {count} parameters{per}, got {len(params)}")
+    texts = params[:1] if name == "obstruction" else params
     try:
-        return int(params[i])
-    except (IndexError, ValueError) as exc:
-        raise InvalidInput(f"missing or malformed family parameter #{i}") from exc
+        p = [int(x) for x in texts] + params[len(texts) :]
+    except ValueError as exc:
+        raise InvalidInput(f"family {name!r}: parameters must be integers: {exc}") from exc
+    out = build(p, args)
+    if name == "planted-phantom":
+        _emit({"graph": gc.graph_to_json_obj(out[0]), "phantom": st.phantom_to_json_obj(out[1])})
+    elif name == "planted-crystal":
+        _emit({"graph": gc.graph_to_json_obj(out[0]), "crystal": st.crystal_to_json_obj(out[1])})
+    else:
+        _emit_graph(out, args)
+    return EXIT_OK
 
 
 # -- detect ---------------------------------------------------------------------
@@ -192,9 +191,15 @@ def cmd_validate(args) -> int:
         k = st.kaleidoscope_from_json_obj(obj["kaleidoscope"])
         bad = st.validate_kaleidoscope(g, k)
         if bad is None and args.mirrored is not None:
-            ok, why = st.is_mirrored(g, k, obj.get("mirrored-set", []), args.mirrored)
+            zset = obj.get("mirrored-set", [])
+            if not isinstance(zset, list):
+                raise InvalidInput("'mirrored-set' must be a list of vertices")
+            zset = [gc.json_int(z, "mirrored-set vertex") for z in zset]
+            ok, why = st.is_mirrored(g, k, zset, args.mirrored)
             bad = None if ok else why
     elif kind == "decomposition":
+        if not isinstance(obj["decomposition"], str):
+            raise InvalidInput("'decomposition' must be PACE-style text")
         td, _ = tw.from_pace(obj["decomposition"])
         bad = tw.verify_decomposition(g, td)
         if bad is not None:
@@ -245,6 +250,10 @@ def cmd_extract(args) -> int:
 def _run_extract(args, obj) -> int:
     g = gc.graph_from_json_obj(obj["graph"])
     params = obj.get("params", {})
+
+    def param(key: str) -> int:
+        return gc.json_int(params[key], f"params.{key}")
+
     op = args.operation
     if op == "crystallized-vertex":
         z, (z1, z2, s1, s2) = ext.find_crystallized_vertex(g)
@@ -252,27 +261,27 @@ def _run_extract(args, obj) -> int:
         return _emit_outcome("crystallized", payload)
     if op == "clear-crystal":
         c = st.crystal_from_json_obj(obj["crystal"])
-        out = ext.clear_crystal(g, c, int(params["f"]), int(params["g"]))
+        out = ext.clear_crystal(g, c, param("f"), param("g"))
         if isinstance(out, ext.HypothesisViolation):
             return _emit_violation(out)
         return _emit_outcome("clear-crystal", st.crystal_to_json_obj(out))
     if op == "phantom-to-crystal":
         p = st.phantom_from_json_obj(obj["phantom"])
-        out = ext.phantom_to_crystal(g, p, int(params["f"]), int(params["g"]))
+        out = ext.phantom_to_crystal(g, p, param("f"), param("g"))
         return _emit_extraction(out)
     if op == "phantom-to-cone-tree":
         p = st.phantom_from_json_obj(obj["phantom"])
         out = ext.phantom_to_cone_tree(
             g,
-            obj["context"],
-            int(params["z1"]),
-            int(params["z2"]),
-            int(params["z"]),
+            [gc.json_int(v, "context vertex") for v in obj["context"]],
+            param("z1"),
+            param("z2"),
+            param("z"),
             p,
-            d=int(params["d"]),
-            g=int(params["g"]),
-            h=int(params["h"]),
-            t=int(params["t"]),
+            d=param("d"),
+            g=param("g"),
+            h=param("h"),
+            t=param("t"),
         )
         if isinstance(out, ext.HypothesisViolation):
             return _emit_violation(out)
@@ -330,11 +339,9 @@ def cmd_verify(args) -> int:
     elapsed = time.perf_counter() - t0
     if not records:
         raise InvalidInput(f"verify {args.suite}: these settings give no instances to check")
-    header = {
-        "schema": SCHEMA_VERSION,
-        "command": f"verify {args.suite}",
-        "seed": 0 if args.seed is None else args.seed,
-    }
+    header = {"schema": SCHEMA_VERSION, "command": f"verify {args.suite}"}
+    if "seed" in params:
+        header["seed"] = kwargs.get("seed", params["seed"].default)
     _emit(header)
     failures = 0
     for rec in records:
@@ -443,7 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means a structured violation
+        return EXIT_OK if exc.code == 0 else EXIT_INVALID
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -77,48 +77,45 @@ class Witness:
 # -- chordality and holes -----------------------------------------------------
 
 
-def maximum_cardinality_order(g: Graph) -> list[int]:
-    """Elimination order from maximum-cardinality search (reversed visit order)."""
-    n = g.n
-    weight = [0] * n
-    seen = 0
-    visit = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not (seen >> v) & 1 and (best == -1 or weight[v] > weight[best]):
-                best = v
-        visit.append(best)
-        seen |= 1 << best
-        for u in bits(g.adj[best] & ~seen):
-            weight[u] += 1
-    visit.reverse()
-    return visit
-
-
-def _is_perfect_elimination(g: Graph, order: list[int]) -> bool:
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    eliminated = 0
-    for v in order:
-        eliminated |= 1 << v
-        nbrs = g.adj[v] & ~eliminated
-        if not nbrs:
-            continue
-        u = min(bits(nbrs), key=lambda w: pos[w])
-        rest = nbrs & ~(1 << u)
-        if rest & ~g.adj[u]:
+def _simplicial(g: Graph, v: int, left: int) -> bool:
+    """Whether v's neighbors inside left are pairwise adjacent: each of them
+    sees all the others.  A bit loop, not bits(): this runs once per
+    neighbor of every eliminated vertex."""
+    nb = g.adj[v] & left
+    rest = nb
+    while rest:
+        low = rest & -rest
+        if nb & ~g.adj[low.bit_length() - 1] != low:
             return False
+        rest ^= low
     return True
 
 
+def perfect_elimination_order(g: Graph) -> list[int] | None:
+    """Repeatedly eliminate the lowest-index simplicial vertex of what is
+    left.  None when vertices remain and none of them is simplicial, which
+    happens exactly when g has a hole (Fulkerson and Gross, 1965).
+
+    A simplicial vertex stays simplicial when other vertices leave, so after
+    each elimination only its remaining neighbors are tested again."""
+    left = g.full_mask()
+    simplicial = mask_of(v for v in range(g.n) if _simplicial(g, v, left))
+    order = []
+    while simplicial:
+        v = (simplicial & -simplicial).bit_length() - 1
+        order.append(v)
+        left ^= 1 << v
+        simplicial ^= 1 << v
+        for u in bits(g.adj[v] & left & ~simplicial):
+            if _simplicial(g, u, left):
+                simplicial |= 1 << u
+    return None if left else order
+
+
 def is_chordal(g: Graph) -> tuple[bool, list[int] | None]:
-    """Chordality via maximum-cardinality elimination; the order certifies it."""
-    order = maximum_cardinality_order(g)
-    if _is_perfect_elimination(g, order):
-        return True, order
-    return False, None
+    """Chordality; a perfect elimination order certifies it."""
+    order = perfect_elimination_order(g)
+    return order is not None, order
 
 
 def find_hole(g: Graph) -> Witness | None:
@@ -569,40 +566,28 @@ def membership_E_t(
 
 
 def is_k_tree(h: Graph, k: int) -> bool:
-    """Greedy reverse elimination: repeatedly delete a vertex whose
-    neighborhood is a k-clique; accept iff the remainder is K_k."""
+    """k-trees are the edge-maximal graphs of treewidth <= k: at least k
+    vertices, k*n - k*(k+1)/2 edges, and a k-forest."""
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    if h.n < k:
-        return False
-    active = h.full_mask()
-    count = h.n
-    changed = True
-    while count > k and changed:
-        changed = False
-        for v in bits(active):
-            nb = h.adj[v] & active
-            if nb.bit_count() != k:
-                continue
-            if all((h.adj[u] & nb) == nb & ~(1 << u) for u in bits(nb)):
-                active &= ~(1 << v)
-                count -= 1
-                changed = True
-                break
-    if count != k:
-        return False
-    verts = list(bits(active))
-    return is_clique(h, verts)
+    return h.n >= k and h.m == k * h.n - k * (k + 1) // 2 and is_k_forest(h, k)
 
 
 def is_k_forest(h: Graph, k: int) -> bool:
-    """Chordal and K_{k+2}-free."""
+    """Chordal and K_{k+2}-free: a perfect elimination order exists and no
+    vertex has more than k neighbors later in it (on a chordal graph the
+    clique number is one more than the largest later neighborhood)."""
     if k < 1:
         raise InvalidInput("k must be >= 1")
-    chordal, _ = is_chordal(h)
-    if not chordal:
+    order = perfect_elimination_order(h)
+    if order is None:
         return False
-    return len(max_clique(h, stop_at=k + 2)) < k + 2
+    later = h.full_mask()
+    for v in order:
+        later ^= 1 << v
+        if (h.adj[v] & later).bit_count() > k:
+            return False
+    return True
 
 
 # -- induced subgraph isomorphism --------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .detectors import is_k_tree
+from .detectors import anticomplete_family, is_k_tree, perfect_elimination_order
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import Graph, bits, induced_subgraph, is_anticomplete_to, is_clique, is_stable_set, mask_of
 from .structures import (
@@ -76,36 +76,31 @@ def find_crystallized_vertex(
     nabla: Graph,
 ) -> tuple[int, tuple[int, int, frozenset[int], frozenset[int]]]:
     """A vertex of a 2-tree (n >= 4) whose neighborhood splits into an anchor
-    edge plus degree-two private leaves, built by peeling a simplicial vertex
-    and patching the certificate back per the two possible collisions."""
+    edge plus degree-two private leaves.  The last four vertices of the
+    perfect elimination order induce a diamond; the others go back in
+    reverse order, each patching the certificate per the two possible
+    collisions."""
     if nabla.n < 4:
         raise InvalidInput("need at least 4 vertices")
     if not is_k_tree(nabla, 2):
         raise InvalidInput("input is not a 2-tree")
-
-    def solve(g: Graph, active: int) -> tuple[int, int, int, frozenset[int], frozenset[int]]:
-        if active.bit_count() == 4:
-            # a four-vertex 2-tree is a diamond; induced_subgraph keeps the
-            # labels in order, so its least certificate maps back unchanged
-            old = list(bits(active))
-            diamond, _ = induced_subgraph(g, old)
-            z = next(u for u in range(4) if diamond.degree(u) == 3)
-            _, (z1, z2, s1, s2) = is_crystallized(diamond, z)
-            side1, side2 = (frozenset(old[x] for x in s) for s in (s1, s2))
-            return old[z], old[z1], old[z2], side1, side2
-        v = next(
-            u
-            for u in bits(active)
-            if (g.adj[u] & active).bit_count() == 2
-            and is_clique(g, list(bits(g.adj[u] & active)))
-        )
-        rest = active & ~(1 << v)
-        z, z1, z2, s1, s2 = solve(g, rest)
-        nv = g.adj[v] & rest
-        if not (nv & ((1 << z) | mask_of(s1 | s2))):
-            return z, z1, z2, s1, s2
-        p, q = bits(nv)
+    order = perfect_elimination_order(nabla)
+    # induced_subgraph keeps the labels in order, so the diamond's least
+    # certificate maps back unchanged
+    base = sorted(order[-4:])
+    diamond, _ = induced_subgraph(nabla, base)
+    dz = next(u for u in range(4) if diamond.degree(u) == 3)
+    _, (d1, d2, ds1, ds2) = is_crystallized(diamond, dz)
+    z, z1, z2 = base[dz], base[d1], base[d2]
+    s1, s2 = (frozenset(base[x] for x in s) for s in (ds1, ds2))
+    active = mask_of(base)
+    for v in reversed(order[:-4]):
+        nv = nabla.adj[v] & active
+        active |= 1 << v
         side_mask = mask_of(s1 | s2)
+        if not (nv & ((1 << z) | side_mask)):
+            continue
+        p, q = bits(nv)
         if nv & side_mask:
             # v leans on a private leaf x; x takes over as the crystallized
             # vertex with anchors (x's old anchor, z) and v its single leaf
@@ -113,18 +108,18 @@ def find_crystallized_vertex(
             other = q if x == p else p
             xanchor = z1 if x in s1 else z2
             assert other in (xanchor, z), "peeled vertex broke the certificate shape"
-            if other == xanchor:
-                return x, xanchor, z, frozenset({v}), frozenset()
-            return x, xanchor, z, frozenset(), frozenset({v})
+            leaf = frozenset({v})
+            s1, s2 = (leaf, frozenset()) if other == xanchor else (frozenset(), leaf)
+            z, z1, z2 = x, xanchor, z
+            continue
         # v leans on the pair {anchor, z}: it joins that anchor's side
         assert (nv >> z) & 1, "peeled vertex broke the certificate shape"
         other = p if q == z else q
         if other == z1:
-            return z, z1, z2, s1 | {v}, s2
-        assert other == z2, "peeled vertex broke the certificate shape"
-        return z, z1, z2, s1, s2 | {v}
-
-    z, z1, z2, s1, s2 = solve(nabla, nabla.full_mask())
+            s1 = s1 | {v}
+        else:
+            assert other == z2, "peeled vertex broke the certificate shape"
+            s2 = s2 | {v}
     assert crystallized_sides(nabla, z, z1, z2) == (s1, s2), "patched certificate failed"
     return z, (z1, z2, s1, s2)
 
@@ -137,8 +132,6 @@ def clear_crystal(G: Graph, c: Crystal, f: int, g: int):
     anticomplete-family selection: pair the two sides of every apex and pick
     2g anticomplete pairs, then pick f apexes whose side groups are pairwise
     anticomplete.  Selections that run dry report the step by name."""
-    from .detectors import anticomplete_family
-
     bad = validate_crystal(G, c)
     if bad is not None:
         raise InvalidInput(f"input crystal invalid: {bad.clause}: {bad.detail}")

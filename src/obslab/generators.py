@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, bits, check_vertex_set, line_graph, mask_of, subdivide
+from .graph_core import Digraph, Graph, bits, check_vertex_set, line_graph, mask_of, subdivide
 from .rng import SplitMix
 from .structures import Crystal, Phantom, ekey
 
@@ -255,8 +255,6 @@ def random_graph(n: int, seed: int, num: int = 1, den: int = 2) -> Graph:
 
 
 def random_digraph(n: int, seed: int, num: int = 1, den: int = 2):
-    from .graph_core import Digraph
-
     rng = SplitMix(seed)
     arcs = [
         (i, j) for i in range(n) for j in range(n) if i != j and rng.chance(num, den)

@@ -143,11 +143,6 @@ class Graph:
             frontier = nxt
         return comp
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        return self.component_mask(0) == self.full_mask()
-
     # -- dunder ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -366,16 +361,22 @@ def graph_to_json_obj(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges()]}
 
 
+def json_int(x, what: str) -> int:
+    """x itself when it is a JSON integer; InvalidInput for anything else, so
+    no float, string or bool read from outside is coerced."""
+    # bool is a subclass of int, and JSON true is no integer
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidInput(f"{what} {x!r} is not an integer")
+    return x
+
+
 def graph_from_json_obj(obj: dict) -> Graph:
     try:
-        n = obj["n"]
-        edges = [(u, v) for u, v in obj["edges"]]
+        n = json_int(obj["n"], "n")
+        edges = [(json_int(u, "vertex"), json_int(v, "vertex")) for u, v in obj["edges"]]
     except (KeyError, TypeError, ValueError) as exc:
+        # InvalidInput from json_int is a ValueError and gets the same prefix
         raise InvalidInput(f"malformed graph object: {exc}") from exc
-    for x in [n, *(u for edge in edges for u in edge)]:
-        # bool is a subclass of int, and JSON true is no vertex
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidInput(f"malformed graph object: {x!r} is not an integer")
     return Graph.from_edges(n, edges)
 
 

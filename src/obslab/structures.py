@@ -20,6 +20,7 @@ from .graph_core import (
     is_anticomplete_to,
     is_complete_to,
     is_stable_set,
+    json_int,
     mask_of,
     path_from_vertices,
 )
@@ -394,15 +395,15 @@ def phantom_to_json_obj(p: Phantom) -> dict:
 
 def phantom_from_json_obj(obj: dict) -> Phantom:
     try:
-        layers = tuple(frozenset(int(v) for v in layer) for layer in obj["layers"])
+        layers = tuple(frozenset(json_int(v, "vertex") for v in layer) for layer in obj["layers"])
         gamma = []
         for level in obj["gamma"]:
             entry = {}
             for key, vals in level.items():
                 u, v = key.split("-")
-                entry[ekey(int(u), int(v))] = frozenset(int(x) for x in vals)
+                entry[ekey(int(u), int(v))] = frozenset(json_int(x, "vertex") for x in vals)
             gamma.append(entry)
-        return Phantom(layers, tuple(gamma), int(obj["d"]))
+        return Phantom(layers, tuple(gamma), json_int(obj["d"], "d"))
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed phantom object: {exc}") from exc
 
@@ -418,11 +419,12 @@ def crystal_to_json_obj(c: Crystal) -> dict:
 
 def crystal_from_json_obj(obj: dict) -> Crystal:
     try:
-        s = tuple(int(z) for z in obj["S"])
+        s = tuple(json_int(z, "apex") for z in obj["S"])
         sides = {}
-        for key, (a, b) in obj["sides"].items():
-            sides[int(key)] = (frozenset(int(x) for x in a), frozenset(int(x) for x in b))
-        return Crystal(int(obj["z1"]), int(obj["z2"]), s, sides)
+        for key, pair in obj["sides"].items():
+            a, b = (frozenset(json_int(x, "vertex") for x in side) for side in pair)
+            sides[int(key)] = (a, b)
+        return Crystal(json_int(obj["z1"], "z1"), json_int(obj["z2"], "z2"), s, sides)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed crystal object: {exc}") from exc
 
@@ -433,7 +435,8 @@ def kaleidoscope_to_json_obj(k: Kaleidoscope) -> dict:
 
 def kaleidoscope_from_json_obj(obj: dict) -> Kaleidoscope:
     try:
-        paths = tuple(tuple(int(v) for v in p) for p in obj["paths"])
-        return Kaleidoscope(int(obj["a"]), int(obj["x"]), int(obj["y"]), paths)
+        paths = tuple(tuple(json_int(v, "vertex") for v in p) for p in obj["paths"])
+        a, x, y = (json_int(obj[key], key) for key in ("a", "x", "y"))
+        return Kaleidoscope(a, x, y, paths)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed kaleidoscope object: {exc}") from exc

@@ -16,7 +16,7 @@ from . import generators as gen
 from . import structures as st
 from . import treewidth as tw
 from .errors import InvalidInput
-from .graph_core import Graph, bits
+from .graph_core import Digraph, Graph, bits
 from .rng import SplitMix
 
 
@@ -332,8 +332,6 @@ def suite_ramsey(c: int = 3, s: int = 2, seed: int = 0, samples: int = 300) -> l
     n_t = tc ** (tc**ts)
     rng = SplitMix(seed + 1)
     digraphs = [gen.random_digraph(n_t, rng.next_u64(), 1 + rng.below(9), 10) for _ in range(samples)]
-    from .graph_core import Digraph
-
     digraphs.append(Digraph.from_arcs(n_t, []))
     digraphs.append(
         Digraph.from_arcs(n_t, [(a, b) for a in range(n_t) for b in range(n_t) if a != b])

@@ -52,17 +52,6 @@ def _reach_mask(adj: tuple[int, ...], prefix: int, v: int) -> int:
     return reach & ~prefix & ~(1 << v)
 
 
-def elimination_width(g: Graph, order: list[int]) -> int:
-    prefix = 0
-    width = -1
-    for v in order:
-        q = _reach_mask(g.adj, prefix, v).bit_count()
-        if q > width:
-            width = q
-        prefix |= 1 << v
-    return width
-
-
 def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     """Standard fill-in decomposition: one bag per vertex, linked to the bag
     of the earliest-eliminated vertex it still sees."""
@@ -207,7 +196,8 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionViolat
     for a, b in td.edges:
         if not (0 <= a < k and 0 <= b < k) or a == b:
             return DecompositionViolation("tree-shape", f"bad tree edge ({a},{b})")
-    if len(td.edges) != k - 1 or not _tree_connected(k, td.edges):
+    tree = Graph.from_edges(k, td.edges)
+    if len(td.edges) != k - 1 or tree.component_mask(0) != tree.full_mask():
         return DecompositionViolation("tree-shape", "bag graph is not a tree")
     covered = 0
     for b in td.bags:
@@ -218,42 +208,12 @@ def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionViolat
     for u, v in g.edges():
         if not any(u in b and v in b for b in td.bags):
             return DecompositionViolation("edge-coverage", f"edge ({u},{v}) is in no bag")
-    nbrs = [[] for _ in range(k)]
-    for a, b in td.edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
     for v in range(g.n):
-        holding = [i for i in range(k) if v in td.bags[i]]
-        seen = {holding[0]}
-        stack = [holding[0]]
-        members = set(holding)
-        while stack:
-            i = stack.pop()
-            for j in nbrs[i]:
-                if j in members and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(holding):
+        holding = mask_of(i for i in range(k) if v in td.bags[i])
+        first = (holding & -holding).bit_length() - 1
+        if tree.component_mask(first, holding) != holding:
             return DecompositionViolation("connectivity", f"bags holding {v} are disconnected")
     return None
-
-
-def _tree_connected(k: int, edges) -> bool:
-    if k == 1:
-        return True
-    nbrs = [[] for _ in range(k)]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in nbrs[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == k
 
 
 # -- PACE-style text ---------------------------------------------------------
@@ -274,6 +234,13 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
     header = None
     bags: dict[int, frozenset[int]] = {}
     edges = []
+
+    def ints(words: list[str]) -> list[int]:
+        try:
+            return [int(w) for w in words]
+        except ValueError as exc:
+            raise InvalidInput(f"malformed PACE-style text: {exc}") from exc
+
     for line in text.splitlines():
         parts = line.split()
         if not parts or parts[0] == "c":
@@ -281,13 +248,17 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
         if parts[0] == "s":
             if header is not None or len(parts) != 5 or parts[1] != "td":
                 raise InvalidInput("malformed or repeated solution line")
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = ints(parts[2:])
         elif parts[0] == "b":
-            bags[int(parts[1]) - 1] = frozenset(int(v) - 1 for v in parts[2:])
+            ids = ints(parts[1:])
+            if not ids or min(ids) < 1:
+                raise InvalidInput(f"malformed bag line: {line!r}")
+            bags[ids[0] - 1] = frozenset(v - 1 for v in ids[1:])
         else:
             if len(parts) != 2:
                 raise InvalidInput(f"malformed tree edge line: {line!r}")
-            edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+            a, b = ints(parts)
+            edges.append((a - 1, b - 1))
     if header is None:
         raise InvalidInput("missing solution line")
     nbags, _, n = header

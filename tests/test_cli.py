@@ -237,3 +237,107 @@ def test_validate_missing_member(kind):
     payload = json.dumps({"graph": json.loads(dumps_graph(complete(3)))})
     code, out = run_cli(["validate", kind], payload)
     assert code == 1 and out == ""
+
+
+def _crystal_payload(**changes):
+    host, c = plant_crystal(1, 1)
+    obj = crystal_to_json_obj(c)
+    obj.update(changes)
+    return {"graph": json.loads(dumps_graph(host)), "crystal": obj}
+
+
+def _phantom_payload(d=2, params=None):
+    host, p = plant_phantom(complete(2), 2, 2)
+    obj = phantom_to_json_obj(p)
+    obj["d"] = d
+    return {"graph": json.loads(dumps_graph(host)), "phantom": obj, "params": params or {}}
+
+
+def _decomposition_payload(text):
+    return {"graph": {"n": 2, "edges": [[0, 1]]}, "decomposition": text}
+
+
+def _kaleidoscope_payload(zset):
+    # a four-cycle x=0, a=1, y=2 with the one path 0-3-2, plus a loose vertex 4
+    graph = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
+    fan = {"a": 1, "x": 0, "y": 2, "paths": [[0, 3, 2]]}
+    return {"graph": graph, "kaleidoscope": fan, "mirrored-set": zset}
+
+
+@pytest.mark.parametrize(
+    "argv,payload",
+    [
+        (["validate", "crystal"], _crystal_payload(z1=0.9)),
+        (["validate", "crystal"], _crystal_payload(S=[2.7])),
+        (["validate", "crystal"], _crystal_payload(z2=True)),
+        (["validate", "crystal"], _crystal_payload(z2="1")),
+        (["validate", "phantom"], _phantom_payload(d=2.5)),
+        (["extract", "phantom-to-crystal"], _phantom_payload(params={"f": 1.9, "g": True})),
+        (["validate", "decomposition"], _decomposition_payload(5)),
+        (["validate", "decomposition"], _decomposition_payload("s td x 1 6")),
+        (["validate", "decomposition"], _decomposition_payload("s td 1 2 2\nb 1 0 1\n")),
+        (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload([2.5])),
+        (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload("ab")),
+        (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload(4)),
+    ],
+)
+def test_outside_input_is_read_strictly(argv, payload, capsys):
+    code, out = run_cli(argv, json.dumps(payload))
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_strict_reading_keeps_valid_input():
+    code, out = run_cli(["validate", "crystal"], json.dumps(_crystal_payload()))
+    assert code == 0 and json.loads(out) == {"valid": True}
+    text = "s td 1 2 2\nb 1 1 2\n"
+    code, out = run_cli(["validate", "decomposition"], json.dumps(_decomposition_payload(text)))
+    assert code == 0 and json.loads(out) == {"valid": True}
+    payload = json.dumps(_kaleidoscope_payload([4]))
+    code, out = run_cli(["validate", "kaleidoscope", "--mirrored", "1"], payload)
+    assert code == 2 and json.loads(out)["clause"] == "M3"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["crystal", "1", "x"],
+        ["crystal", "1", "2", "3"],
+        ["complete", "3", "9"],
+        ["complete"],
+        ["wall", "2.5"],
+        ["obstruction", "3"],
+        ["obstruction", "x", "wall"],
+    ],
+)
+def test_gen_takes_exactly_its_integer_parameters(params, capsys):
+    code, out = run_cli(["gen", *params, "--seed", "1"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input:")
+
+
+def test_gen_obstruction_takes_a_kind_name():
+    code, out = run_cli(["gen", "obstruction", "2", "complete", "--seed", "1"])
+    assert code == 0 and loads_graph(out) == complete(3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "nonsense"], ["extract", "nonsense"], ["verify", "nonsense"], ["tw", "--bogus"], []],
+)
+def test_usage_errors_exit_one(argv):
+    assert run_cli(argv)[0] == 1
+
+
+def test_help_exits_zero():
+    assert run_cli(["--help"])[0] == 0
+    assert run_cli(["verify", "--help"])[0] == 0
+
+
+def test_verify_header_shows_the_seed_the_suite_ran_with():
+    code, out = run_cli(["verify", "class-containment", "--n", "3", "--seed", "7"])
+    assert code == 0 and "seed" not in json.loads(out.splitlines()[0])
+    code, out = run_cli(["verify", "crystallized", "--samples", "2", "--seed", "7"])
+    assert code == 0 and json.loads(out.splitlines()[0])["seed"] == 7
+    code, out = run_cli(["verify", "crystallized", "--samples", "2"])
+    assert code == 0 and json.loads(out.splitlines()[0])["seed"] == 0
