@@ -184,19 +184,17 @@ def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
     return _Budget(budget, what)
 
 
-def _cycles(
-    g: Graph, allowed: int, lengths: Iterable[int], budget: _Budget
-) -> Iterator[tuple[int, ...]]:
-    """Induced cycles inside the allowed mask, each length in turn, canonical
-    root = minimum vertex, in deterministic order.  Distance-to-root pruning
-    keeps the walk near-geodesic on sparse inputs; each root's distances are
-    computed once and serve every length."""
+def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
+    """Induced cycles of g, each length in turn, canonical root = minimum
+    vertex, in deterministic order.  Distance-to-root pruning keeps the walk
+    near-geodesic on sparse inputs; each root's distances are computed once
+    and serve every length."""
     dists: list[list[int] | None] = [None] * g.n
     for target in lengths:
-        for root in bits(allowed):
+        for root in range(g.n):
             if dists[root] is None:
                 # only vertices above the root may appear, making the root canonical
-                dists[root] = g.bfs_dist(root, allowed & ~((1 << root) - 1))
+                dists[root] = g.bfs_dist(root, g.full_mask() >> root << root)
             dist = dists[root]
             rbit = 1 << root
             path = [root]
@@ -235,7 +233,7 @@ def find_even_hole(
     b = _start(g, guard, budget, "find_even_hole")
     if b is None:
         return None
-    for order in _cycles(g, g.full_mask(), range(4, g.n + 1, 2), b):
+    for order in _cycles(g, range(4, g.n + 1, 2), b):
         return Witness(
             "even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),)
         )
@@ -245,24 +243,19 @@ def find_even_hole(
 def find_even_wheel(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
-    """A hole plus an outside hub with an even number >= 4 of neighbors on it."""
+    """One shortest-first pass over the holes: the first rim with an outside
+    hub of an even number >= 4 of neighbors on it, the lowest-index such hub."""
     b = _start(g, guard, budget, "find_even_wheel")
     if b is None:
         return None
-    for h in range(g.n):
-        if g.degree(h) < 4:
-            continue
-        for order in _cycles(g, g.full_mask() & ~(1 << h), range(4, g.n), b):
-            k = (mask_of(order) & g.adj[h]).bit_count()
+    for order in _cycles(g, range(4, g.n), b):
+        rim = mask_of(order)
+        for h in bits(g.full_mask() & ~rim):
+            k = (g.adj[h] & rim).bit_count()
             if k >= 4 and k % 2 == 0:
-                roles = {v: "rim" for v in order}
-                roles[h] = "hub"
-                return Witness(
-                    "even-wheel",
-                    tuple(sorted((h, *order))),
-                    roles,
-                    (("hub", h), ("cycle", order)),
-                )
+                roles = {v: "rim" for v in order} | {h: "hub"}
+                detail = (("hub", h), ("cycle", order))
+                return Witness("even-wheel", tuple(sorted((h, *order))), roles, detail)
     return None
 
 
@@ -543,20 +536,15 @@ def membership_E_t(
 ) -> Witness | None:
     """None iff the graph avoids induced K_{2,2}, theta, prism, even wheel and,
     when t is given, K_t; otherwise the first witness in that fixed order."""
-    w = find_induced_biclique(g, 2, 2, guard)
-    if w is not None:
-        return w
-    w = find_theta(g, guard, budget)
-    if w is not None:
-        return w
-    w = find_prism(g, guard, budget)
-    if w is not None:
-        return w
-    w = find_even_wheel(g, guard, budget)
-    if w is not None:
-        return w
-    if t is not None:
-        w = find_clique(g, t, guard)
+    searches = (
+        lambda: find_induced_biclique(g, 2, 2, guard),
+        lambda: find_theta(g, guard, budget),
+        lambda: find_prism(g, guard, budget),
+        lambda: find_even_wheel(g, guard, budget),
+        lambda: None if t is None else find_clique(g, t, guard),
+    )
+    for search in searches:
+        w = search()
         if w is not None:
             return w
     return None
@@ -566,28 +554,35 @@ def membership_E_t(
 
 
 def is_k_tree(h: Graph, k: int) -> bool:
-    """k-trees are the edge-maximal graphs of treewidth <= k: at least k
+    return k_tree_order(h, k) is not None
+
+
+def k_tree_order(h: Graph, k: int) -> list[int] | None:
+    """The perfect elimination order of a k-tree, None on any other graph.
+    k-trees are the edge-maximal graphs of treewidth <= k: at least k
     vertices, k*n - k*(k+1)/2 edges, and a k-forest."""
-    if k < 1:
-        raise InvalidInput("k must be >= 1")
-    return h.n >= k and h.m == k * h.n - k * (k + 1) // 2 and is_k_forest(h, k)
+    if k >= 1 and (h.n < k or h.m != k * h.n - k * (k + 1) // 2):
+        return None
+    return _k_forest_order(h, k)
 
 
 def is_k_forest(h: Graph, k: int) -> bool:
-    """Chordal and K_{k+2}-free: a perfect elimination order exists and no
-    vertex has more than k neighbors later in it (on a chordal graph the
-    clique number is one more than the largest later neighborhood)."""
+    return _k_forest_order(h, k) is not None
+
+
+def _k_forest_order(h: Graph, k: int) -> list[int] | None:
+    """The perfect elimination order of a chordal K_{k+2}-free graph, else None:
+    on a chordal graph the clique number is one more than the largest later
+    neighborhood, so no vertex may have more than k neighbors later in it."""
     if k < 1:
         raise InvalidInput("k must be >= 1")
     order = perfect_elimination_order(h)
-    if order is None:
-        return False
     later = h.full_mask()
-    for v in order:
+    for v in order or ():
         later ^= 1 << v
         if (h.adj[v] & later).bit_count() > k:
-            return False
-    return True
+            return None
+    return order
 
 
 # -- induced subgraph isomorphism --------------------------------------------------------------

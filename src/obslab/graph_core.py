@@ -17,6 +17,10 @@ from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInput
 
+# the most vertices any graph may have; the package builds none larger itself,
+# so a count read from outside is checked against it before anything is sized
+MAX_VERTICES = 10_000
+
 
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
@@ -45,8 +49,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise InvalidInput(f"vertex count must be nonnegative, got {n}")
+        if not 0 <= n <= MAX_VERTICES:
+            raise InvalidInput(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -370,6 +374,14 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def text_int(word: str, what: str) -> int:
+    """The value of a word of ASCII digits; InvalidInput for anything else, so
+    no sign, space or underscore that int() would take is read from outside."""
+    if not (word.isascii() and word.isdigit()):
+        raise InvalidInput(f"{what} {word!r} is not a nonnegative integer")
+    return int(word)
+
+
 def graph_from_json_obj(obj: dict) -> Graph:
     try:
         n = json_int(obj["n"], "n")
@@ -407,8 +419,8 @@ def from_edge_list(text: str) -> Graph:
     if not rows or len(rows[0]) != 2:
         raise InvalidInput("edge-list text needs an 'n m' header")
     try:
-        n, m = int(rows[0][0]), int(rows[0][1])
-        edges = [(int(a), int(b)) for a, b in rows[1:]]
+        n, m = text_int(rows[0][0], "vertex count"), text_int(rows[0][1], "edge count")
+        edges = [(text_int(a, "vertex"), text_int(b, "vertex")) for a, b in rows[1:]]
     except ValueError as exc:
         raise InvalidInput(f"malformed edge-list text: {exc}") from exc
     if len(edges) != m:

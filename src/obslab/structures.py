@@ -23,6 +23,7 @@ from .graph_core import (
     json_int,
     mask_of,
     path_from_vertices,
+    text_int,
 )
 
 
@@ -400,8 +401,8 @@ def phantom_from_json_obj(obj: dict) -> Phantom:
         for level in obj["gamma"]:
             entry = {}
             for key, vals in level.items():
-                u, v = key.split("-")
-                entry[ekey(int(u), int(v))] = frozenset(json_int(x, "vertex") for x in vals)
+                u, v = (text_int(x, "gamma key") for x in key.split("-"))
+                entry[ekey(u, v)] = frozenset(json_int(x, "vertex") for x in vals)
             gamma.append(entry)
         return Phantom(layers, tuple(gamma), json_int(obj["d"], "d"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -423,7 +424,7 @@ def crystal_from_json_obj(obj: dict) -> Crystal:
         sides = {}
         for key, pair in obj["sides"].items():
             a, b = (frozenset(json_int(x, "vertex") for x in side) for side in pair)
-            sides[int(key)] = (a, b)
+            sides[text_int(key, "sides key")] = (a, b)
         return Crystal(json_int(obj["z1"], "z1"), json_int(obj["z2"], "z2"), s, sides)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"malformed crystal object: {exc}") from exc

@@ -118,30 +118,22 @@ def suite_obstructions(t_max: int = 3, seed: int = 0, samples: int = 5) -> list[
             continue
         for _ in range(samples):
             s = rng.next_u64()
-            for kind in ("biclique", "wall", "line_of_wall"):
-                g = gen.basic_obstruction(t, kind, seed=s)
+            kinds = ("biclique", "wall", "line_of_wall")
+            obs = {kind: gen.basic_obstruction(t, kind, seed=s) for kind in kinds}
+            for kind, g in obs.items():
                 w = det.find_even_hole(g, guard=g.n)
                 ok = w is not None and det.validate_witness(g, w)
                 records.append(_record(i, f"even-hole {kind} t={t}", ok, n=g.n))
                 i += 1
-            g = gen.basic_obstruction(t, "wall", seed=s)
-            w = det.find_theta(g, guard=g.n)
-            records.append(
-                _record(i, f"theta wall t={t}", w is not None and det.validate_witness(g, w))
-            )
-            i += 1
-            g = gen.basic_obstruction(t, "biclique", seed=s)
-            w = det.find_theta(g, guard=g.n)
-            records.append(
-                _record(i, f"theta biclique t={t}", w is not None and det.validate_witness(g, w))
-            )
-            i += 1
-            g = gen.basic_obstruction(t, "line_of_wall", seed=s)
-            w = det.find_prism(g, guard=g.n)
-            records.append(
-                _record(i, f"prism line-of-wall t={t}", w is not None and det.validate_witness(g, w))
-            )
-            i += 1
+            for name, finder, g in (
+                ("theta wall", det.find_theta, obs["wall"]),
+                ("theta biclique", det.find_theta, obs["biclique"]),
+                ("prism line-of-wall", det.find_prism, obs["line_of_wall"]),
+            ):
+                w = finder(g, guard=g.n)
+                ok = w is not None and det.validate_witness(g, w)
+                records.append(_record(i, f"{name} t={t}", ok))
+                i += 1
     return records
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .detectors import max_clique
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, bits, mask_of
+from .graph_core import Graph, bits, mask_of, text_int
 
 DEFAULT_EXACT_GUARD = 22
 
@@ -189,7 +189,11 @@ def treewidth_exact(
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionViolation | None:
-    """Literal check of the three axioms; None means valid."""
+    """Literal check of the three axioms; None means valid.  A bag vertex the
+    graph lacks is InvalidInput, raised before any mask is sized by it."""
+    for b in td.bags:
+        if any(not 0 <= v < g.n for v in b):
+            raise InvalidInput(f"bag {sorted(b)} holds a vertex outside 0..{g.n - 1}")
     k = len(td.bags)
     if k == 0:
         return DecompositionViolation("tree-shape", "no bags")
@@ -236,10 +240,7 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
     edges = []
 
     def ints(words: list[str]) -> list[int]:
-        try:
-            return [int(w) for w in words]
-        except ValueError as exc:
-            raise InvalidInput(f"malformed PACE-style text: {exc}") from exc
+        return [text_int(w, "PACE-style token") for w in words]
 
     for line in text.splitlines():
         parts = line.split()
@@ -262,7 +263,8 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
     if header is None:
         raise InvalidInput("missing solution line")
     nbags, _, n = header
-    if sorted(bags) != list(range(nbags)):
+    # the header's count is compared with the bag lines before it sizes anything
+    if nbags != len(bags) or sorted(bags) != list(range(nbags)):
         raise InvalidInput("bag ids must be 1..k, each exactly once")
     td = TreeDecomposition(
         tuple(bags[i] for i in range(nbags)), tuple(sorted(tuple(sorted(e)) for e in edges))

@@ -257,6 +257,13 @@ def _decomposition_payload(text):
     return {"graph": {"n": 2, "edges": [[0, 1]]}, "decomposition": text}
 
 
+def _phantom_payload_keyed(key):
+    payload = _phantom_payload()
+    level = payload["phantom"]["gamma"][0]
+    level[key] = level.pop("0-1")
+    return payload
+
+
 def _kaleidoscope_payload(zset):
     # a four-cycle x=0, a=1, y=2 with the one path 0-3-2, plus a loose vertex 4
     graph = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
@@ -279,10 +286,18 @@ def _kaleidoscope_payload(zset):
         (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload([2.5])),
         (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload("ab")),
         (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload(4)),
+        (["validate", "decomposition"], _decomposition_payload("s td 1 2 2\nb 1 1 2 1000000\n")),
+        (["validate", "phantom"], _phantom_payload_keyed("+0- 1")),
+        (["validate", "crystal"], _crystal_payload(sides={" +2": [[3], [4]]})),
+        pytest.param(["detect", "even-hole", "--format", "edgelist"], "2 1\n0 +1\n", id="edgelist"),
+        (["validate", "decomposition"], _decomposition_payload("s td 1 2 2\nb 1 1 0_2\n")),
+        (["validate", "decomposition"], _decomposition_payload("s td 2 2 2\nb 1 1 2\n")),
+        # one vertex above graph_core.MAX_VERTICES
+        (["detect", "even-hole"], {"n": 10_001, "edges": []}),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):
-    code, out = run_cli(argv, json.dumps(payload))
+    code, out = run_cli(argv, payload if isinstance(payload, str) else json.dumps(payload))
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("invalid input:")
 

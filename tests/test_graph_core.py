@@ -5,6 +5,7 @@ from hypothesis import strategies as hst
 from obslab.errors import InvalidInput
 from obslab.generators import complete, cycle, path_graph, wall
 from obslab.graph_core import (
+    MAX_VERTICES,
     Digraph,
     Graph,
     dumps_graph,
@@ -19,6 +20,7 @@ from obslab.graph_core import (
     set_relation,
     subdivide,
     subdivide_all,
+    text_int,
     to_edge_list,
 )
 
@@ -30,6 +32,18 @@ def test_construction_rejects_bad_edges():
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(InvalidInput):
         Graph.from_edges(3, [(1, 1)])
+
+
+def test_vertex_count_is_capped():
+    with pytest.raises(InvalidInput):
+        Graph.from_edges(MAX_VERTICES + 1, [])
+    assert Graph.from_edges(MAX_VERTICES, []).n == MAX_VERTICES
+
+
+@pytest.mark.parametrize("word", ["", "+1", "-1", " 1", "1 ", "1_0", "\u0661", "1.0"])
+def test_text_int_takes_ascii_digits_only(word):
+    with pytest.raises(InvalidInput):
+        text_int(word, "vertex")
 
 
 def test_basic_accessors():
