@@ -244,13 +244,15 @@ def find_even_wheel(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
     """One shortest-first pass over the holes: the first rim with an outside
-    hub of an even number >= 4 of neighbors on it, the lowest-index such hub."""
+    hub of an even number >= 4 of neighbors on it, the lowest-index such hub;
+    only a vertex of degree >= 4 can be a hub."""
     b = _start(g, guard, budget, "find_even_wheel")
-    if b is None:
+    hubs = mask_of(v for v in range(g.n) if g.degree(v) >= 4)
+    if b is None or not hubs:
         return None
     for order in _cycles(g, range(4, g.n), b):
         rim = mask_of(order)
-        for h in bits(g.full_mask() & ~rim):
+        for h in bits(hubs & ~rim):
             k = (g.adj[h] & rim).bit_count()
             if k >= 4 and k % 2 == 0:
                 roles = {v: "rim" for v in order} | {h: "hub"}
@@ -536,15 +538,20 @@ def membership_E_t(
 ) -> Witness | None:
     """None iff the graph avoids induced K_{2,2}, theta, prism, even wheel and,
     when t is given, K_t; otherwise the first witness in that fixed order."""
-    searches = (
-        lambda: find_induced_biclique(g, 2, 2, guard),
-        lambda: find_theta(g, guard, budget),
-        lambda: find_prism(g, guard, budget),
-        lambda: find_even_wheel(g, guard, budget),
-        lambda: None if t is None else find_clique(g, t, guard),
-    )
-    for search in searches:
-        w = search()
+    w = find_induced_biclique(g, 2, 2, guard)
+    if w is not None:
+        return w
+    w = find_theta(g, guard, budget)
+    if w is not None:
+        return w
+    w = find_prism(g, guard, budget)
+    if w is not None:
+        return w
+    w = find_even_wheel(g, guard, budget)
+    if w is not None:
+        return w
+    if t is not None:
+        w = find_clique(g, t, guard)
         if w is not None:
             return w
     return None
@@ -554,23 +561,18 @@ def membership_E_t(
 
 
 def is_k_tree(h: Graph, k: int) -> bool:
-    return k_tree_order(h, k) is not None
-
-
-def k_tree_order(h: Graph, k: int) -> list[int] | None:
-    """The perfect elimination order of a k-tree, None on any other graph.
-    k-trees are the edge-maximal graphs of treewidth <= k: at least k
+    """k-trees are the edge-maximal graphs of treewidth <= k: at least k
     vertices, k*n - k*(k+1)/2 edges, and a k-forest."""
-    if k >= 1 and (h.n < k or h.m != k * h.n - k * (k + 1) // 2):
-        return None
-    return _k_forest_order(h, k)
+    if k < 1:
+        raise InvalidInput("k must be >= 1")
+    return h.n >= k and h.m == k * h.n - k * (k + 1) // 2 and is_k_forest(h, k)
 
 
 def is_k_forest(h: Graph, k: int) -> bool:
-    return _k_forest_order(h, k) is not None
+    return k_forest_order(h, k) is not None
 
 
-def _k_forest_order(h: Graph, k: int) -> list[int] | None:
+def k_forest_order(h: Graph, k: int) -> list[int] | None:
     """The perfect elimination order of a chordal K_{k+2}-free graph, else None:
     on a chordal graph the clique number is one more than the largest later
     neighborhood, so no vertex may have more than k neighbors later in it."""

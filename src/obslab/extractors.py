@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .detectors import anticomplete_family, k_tree_order
+from .detectors import anticomplete_family, k_forest_order
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import Graph, bits, induced_subgraph, is_anticomplete_to, is_clique, is_stable_set, mask_of
 from .structures import (
@@ -82,8 +82,9 @@ def find_crystallized_vertex(
     collisions."""
     if nabla.n < 4:
         raise InvalidInput("need at least 4 vertices")
-    order = k_tree_order(nabla, 2)
-    if order is None:
+    # a 2-tree is a 2-forest with 2n - 3 edges
+    order = k_forest_order(nabla, 2)
+    if order is None or nabla.m != 2 * nabla.n - 3:
         raise InvalidInput("input is not a 2-tree")
     # induced_subgraph keeps the labels in order, so the diamond's least
     # certificate maps back unchanged

@@ -193,6 +193,12 @@ def test_even_wheel_absence_is_one_pass():
     assert det.find_even_wheel(g, budget=10_000) is None
 
 
+def test_even_wheel_needs_a_hub_of_degree_four():
+    # walls are full of holes but have maximum degree 3, so no hole is read
+    for t in (4, 6):
+        assert det.find_even_wheel(wall(t), guard=100, budget=0) is None
+
+
 def test_k_tree_checks():
     diamond = cone(path_graph(3))
     assert det.is_k_tree(diamond, 2) and det.is_k_forest(diamond, 2)
