@@ -94,10 +94,7 @@ def cmd_gen(args) -> int:
         per = " per arm" if name == "crystal" else ""
         raise InvalidInput(f"family {name!r} takes {count} parameters{per}, got {len(params)}")
     texts = params[:1] if name == "obstruction" else params
-    try:
-        p = [int(x) for x in texts] + params[len(texts) :]
-    except ValueError as exc:
-        raise InvalidInput(f"family {name!r}: parameters must be integers: {exc}") from exc
+    p = [gc.text_int(x, f"family {name!r} parameter") for x in texts] + params[len(texts) :]
     out = build(p, args)
     if name == "planted-phantom":
         _emit({"graph": gc.graph_to_json_obj(out[0]), "phantom": st.phantom_to_json_obj(out[1])})
@@ -387,6 +384,15 @@ def cmd_scan_conjecture(args) -> int:
 # -- parser -----------------------------------------------------------------------------
 
 
+def _flag_int(word: str) -> int:
+    """The type of every integer flag: ASCII digits only, read by the one
+    parser of integers written as text."""
+    try:
+        return gc.text_int(word, "flag value")
+    except InvalidInput as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="obslab", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -394,30 +400,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a named graph family as JSON")
     p.add_argument("family")
     p.add_argument("params", nargs="*")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_flag_int, default=None)
     p.add_argument("--density", choices=("minimal", "coned"), default="minimal")
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("detect", help="search the stdin graph for a structure")
     p.add_argument("structure")
-    p.add_argument("--c", type=int, default=3)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--guard", type=int, default=det.DEFAULT_GUARD)
+    p.add_argument("--c", type=_flag_int, default=3)
+    p.add_argument("--s", type=_flag_int, default=2)
+    p.add_argument("--t", type=_flag_int, default=None)
+    p.add_argument("--guard", type=_flag_int, default=det.DEFAULT_GUARD)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("tw", help="treewidth of the stdin graph")
     p.add_argument("--bounds", action="store_true")
-    p.add_argument("--exact-guard", type=int, default=tw.DEFAULT_EXACT_GUARD)
+    p.add_argument("--exact-guard", type=_flag_int, default=tw.DEFAULT_EXACT_GUARD)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_tw)
 
     p = sub.add_parser("validate", help="validate a (graph, structure) pair from stdin")
     p.add_argument("kind", choices=("phantom", "crystal", "kaleidoscope", "decomposition"))
     p.add_argument("--clear", action="store_true")
-    p.add_argument("--mirrored", type=int, default=None)
+    p.add_argument("--mirrored", type=_flag_int, default=None)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("extract", help="run a constructive extraction on stdin input")
@@ -435,15 +441,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     for flag in _VERIFY_FLAGS:
-        p.add_argument(f"--{flag}", type=int)
+        p.add_argument(f"--{flag}", type=_flag_int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("scan-conjecture", help="bounded, non-conclusive counterexample scan")
     p.add_argument("pattern", help="path to the excluded 2-forest, graph JSON")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--t", type=_flag_int, required=True)
+    p.add_argument("--n", type=_flag_int, required=True)
+    p.add_argument("--samples", type=_flag_int, default=50)
+    p.add_argument("--seed", type=_flag_int, default=0)
     p.set_defaults(func=cmd_scan_conjecture)
 
     return ap

@@ -13,6 +13,8 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Iterator
@@ -40,11 +42,18 @@ def _check_scale(g: Graph, guard: int, what: str) -> None:
 
 
 class _Budget:
-    __slots__ = ("left", "what")
+    """Search nodes left for one finder call, and that call's distance memo:
+    the graph does not change during the call, so the distances to a vertex
+    inside a mask are computed once, however many candidates and length caps
+    ask _to_dst for them.  Each is kept as a 16-bit array, 2 bytes a vertex against
+    a list's 8; no distance reaches MAX_VERTICES."""
+
+    __slots__ = ("left", "what", "dists")
 
     def __init__(self, nodes: int, what: str):
         self.left = nodes
         self.what = what
+        self.dists: dict[tuple[int, int], array] = {}
 
     def spend(self) -> None:
         self.left -= 1
@@ -264,6 +273,38 @@ def find_even_wheel(
 # -- three anticomplete paths (shared by theta / prism) ---------------------------
 
 
+def _to_dst(
+    g: Graph, src: int, dst: int, interior_allowed: int, budget: _Budget
+) -> tuple[int, array]:
+    """The interior pool of src-dst paths, and the distances to dst inside
+    the pool plus both ends, from the finder call's memo."""
+    pool = interior_allowed & ~(1 << src) & ~(1 << dst)
+    key = (dst, pool | (1 << src) | (1 << dst))
+    dist = budget.dists.get(key)
+    if dist is None:
+        dist = budget.dists[key] = array("h", g.bfs_dist(*key))
+    return pool, dist
+
+
+def _floors(
+    g: Graph, ends: list[tuple[int, int]], pools: list[int], budget: _Budget
+) -> Iterator[int]:
+    """For each distinct (pair, pool) of zip(ends, pools), in order and
+    computed lazily: a lower bound on the longest of the induced paths asked
+    for between that pair inside that pool, or -1 when they cannot exist.
+
+    A pair asked for m times needs m paths with disjoint interiors, so
+    either the single edge src-dst or m paths leaving src through distinct
+    neighbors x in the pool, each of length >= 1 + dist(x, dst)."""
+    for ((src, dst), allowed), m in Counter(zip(ends, pools)).items():
+        if g.has_edge(src, dst):
+            lens = [1]
+        else:
+            pool, dist = _to_dst(g, src, dst, allowed, budget)
+            lens = sorted(1 + dist[x] for x in bits(g.adj[src] & pool) if dist[x] >= 0)
+        yield lens[m - 1] if len(lens) >= m else -1
+
+
 def _induced_paths(
     g: Graph,
     src: int,
@@ -273,17 +314,13 @@ def _induced_paths(
     budget: _Budget,
 ) -> Iterator[tuple[int, ...]]:
     """Induced src-dst paths of length <= max_len whose interiors stay in the
-    allowed mask.  Deterministic ascending-vertex order, distance pruned."""
-    if max_len < 1:
-        return
+    allowed mask.  Deterministic ascending-vertex order, distance pruned; the
+    caller has checked with _floors that a path fits under max_len."""
     if g.has_edge(src, dst):
         yield (src, dst)
         # the direct edge makes every longer sequence non-induced
         return
-    pool = interior_allowed & ~(1 << src) & ~(1 << dst)
-    dist = g.bfs_dist(dst, pool | (1 << src) | (1 << dst))
-    if dist[src] < 0 or dist[src] > max_len:
-        return
+    pool, dist = _to_dst(g, src, dst, interior_allowed, budget)
     path = [src]
     pmask = 1 << src
     dbit = 1 << dst
@@ -319,7 +356,10 @@ def _anticomplete_paths(
 ) -> tuple[tuple[int, ...], ...] | None:
     """Induced paths of length <= cap, the i-th joining the pair ends[i] with
     its interior in pools[i], whose interiors are pairwise disjoint and
-    anticomplete: the first such tuple in deterministic order, or None."""
+    anticomplete: the first such tuple in deterministic order, or None.  No
+    path is enumerated unless the floor of every pair left fits under cap."""
+    if not all(0 < f <= cap for f in _floors(g, ends, pools, budget)):
+        return None
     for p in _induced_paths(g, *ends[0], pools[0], cap, budget):
         if len(ends) == 1:
             return (p,)
@@ -330,17 +370,26 @@ def _anticomplete_paths(
     return None
 
 
-def _shortest_three_paths(g: Graph, candidates, first_cap: int, budget: _Budget):
+def _shortest_three_paths(g: Graph, candidates, budget: _Budget):
     """Cap deepening over candidates(), a generator of (key, ends, pools): at
-    cap = first_cap, first_cap + 1, ... the first candidate with anticomplete
-    paths of length <= cap gives (key, paths), else None.  No path is shorter
-    than first_cap and every candidate was searched exhaustively at cap - 1,
-    so the longest path found has length exactly cap: shortest first."""
+    each cap, the first candidate with anticomplete paths of length <= cap
+    gives (key, paths), else None.
+
+    Each candidate's first floor (its first pair's, see _floors) is computed
+    once.  A candidate is searched only at caps from its first floor up, and
+    deepening starts at the smallest first floor, since no cap below it can
+    succeed.  Every candidate was searched exhaustively at cap - 1, so the
+    longest path found has length exactly cap: shortest first."""
+    firsts = [next(_floors(g, ends, pools, budget)) for _, ends, pools in candidates()]
+    first_cap = min((f for f in firsts if f > 0), default=None)
+    if first_cap is None:
+        return None
     for cap in range(first_cap, g.n + 1):
-        for key, ends, pools in candidates():
-            paths = _anticomplete_paths(g, ends, pools, cap, budget)
-            if paths is not None:
-                return key, paths
+        for first, (key, ends, pools) in zip(firsts, candidates()):
+            if 0 < first <= cap:
+                paths = _anticomplete_paths(g, ends, pools, cap, budget)
+                if paths is not None:
+                    return key, paths
     return None
 
 
@@ -362,7 +411,7 @@ def find_theta(
                     pool = full & ~mask_of((a, z))
                     yield (a, z), [(a, z)] * 3, [pool] * 3
 
-    found = _shortest_three_paths(g, candidates, 2, b)
+    found = _shortest_three_paths(g, candidates, b)
     if found is None:
         return None
     (a, z), (p1, p2, p3) = found
@@ -420,7 +469,7 @@ def find_prism(
                     continue
                 yield (t1, matched), ends, [full & ~(ban1[u] | ban2[w]) for u, w in ends]
 
-    found = _shortest_three_paths(g, candidates, 1, b)
+    found = _shortest_three_paths(g, candidates, b)
     if found is None:
         return None
     (t1, t2), (p1, p2, p3) = found

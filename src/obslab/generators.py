@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Digraph, Graph, bits, check_vertex_set, line_graph, mask_of, subdivide
+from .graph_core import (
+    Digraph,
+    Graph,
+    bits,
+    check_vertex_count,
+    check_vertex_set,
+    line_graph,
+    mask_of,
+    subdivide,
+)
 from .rng import SplitMix
 from .structures import Crystal, Phantom, ekey
 
@@ -45,24 +54,29 @@ class CrystalSpec:
 def complete(n: int) -> Graph:
     if n < 1:
         raise InvalidInput("complete graph needs n >= 1")
+    # every count is capped before its edge list is built
+    check_vertex_count(n)
     return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
     if s < 1 or t < 1:
         raise InvalidInput("biclique sides must be >= 1")
+    check_vertex_count(s + t)
     return Graph.from_edges(s + t, [(i, s + j) for i in range(s) for j in range(t)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise InvalidInput("cycle needs n >= 3")
+    check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise InvalidInput("path needs n >= 1")
+    check_vertex_count(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 

@@ -22,6 +22,14 @@ from .errors import InvalidInput
 MAX_VERTICES = 10_000
 
 
+def check_vertex_count(n: int) -> int:
+    """n itself when a graph may have n vertices; InvalidInput otherwise, to
+    be raised before anything sized by n is built."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise InvalidInput(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
+    return n
+
+
 def bits(mask: int) -> Iterator[int]:
     """Indices of the set bits of mask, ascending."""
     while mask:
@@ -49,9 +57,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if not 0 <= n <= MAX_VERTICES:
-            raise InvalidInput(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
-        adj = [0] * n
+        adj = [0] * check_vertex_count(n)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidInput(f"edge ({u},{v}) out of range for n={n}")

@@ -294,12 +294,33 @@ def _kaleidoscope_payload(zset):
         (["validate", "decomposition"], _decomposition_payload("s td 2 2 2\nb 1 1 2\n")),
         # one vertex above graph_core.MAX_VERTICES
         (["detect", "even-hole"], {"n": 10_001, "edges": []}),
+        (["gen", "complete", " +3"], ""),
+        (["gen", "cycle", "1_0"], ""),
+        # rejected by the vertex cap before any edge is listed
+        (["gen", "complete", "10001"], ""),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):
     code, out = run_cli(argv, payload if isinstance(payload, str) else json.dumps(payload))
     assert code == 1 and out == ""
     assert capsys.readouterr().err.startswith("invalid input:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "k-tree", "2", "5", "--seed", "+1"],
+        ["gen", "k-tree", "2", "5", "--seed", "-1"],
+        ["detect", "even-hole", "--guard", " 9"],
+        ["tw", "--exact-guard", "1_0"],
+        ["verify", "ramsey", "--samples", "\u0661"],
+        ["scan-conjecture", "pattern.json", "--t", "3", "--n", "8", "--seed", "1.0"],
+    ],
+)
+def test_integer_flags_are_read_strictly(argv, capsys):
+    code, out = run_cli(argv)
+    assert code == 1 and out == ""
+    assert "is not a nonnegative integer" in capsys.readouterr().err
 
 
 def test_strict_reading_keeps_valid_input():

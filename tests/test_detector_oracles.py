@@ -7,11 +7,12 @@ from itertools import combinations
 from hypothesis import given, settings
 
 from obslab import detectors as det
-from obslab.generators import random_graph
+from obslab.generators import basic_obstruction, random_graph
 from obslab.graph_core import Graph, mask_of
 from obslab.rng import SplitMix
 
 from .conftest import graphs
+from .deepening_oracles import prism_by_deepening, theta_by_deepening
 from .subset_oracles import even_hole_by_subsets, is_cycle_subset
 
 
@@ -128,6 +129,28 @@ def test_even_hole_routes_agree_at_production_sizes():
         if w is not None:
             assert det.validate_witness(g, w)
             assert len(w.vertices) == len(subset.vertices)  # both shortest-first
+
+
+def test_three_path_finders_match_plain_deepening():
+    # memoised distances and first-feasible-cap deepening against the plain
+    # route, on the t=3 obstructions: the same key and paths, or both None.
+    # Walls have no triangle.  Line graphs are claw-free and so hold no
+    # theta, but certifying that by search exhausts the finder's budget.
+    rng = SplitMix(29)
+    found = 0
+    for _ in range(4):
+        seed = rng.next_u64()
+        for kind in ("wall", "biclique", "line_of_wall"):
+            g = basic_obstruction(3, kind, seed=seed)
+            searches = [(det.find_prism, prism_by_deepening)]
+            if kind != "line_of_wall":
+                searches.append((det.find_theta, theta_by_deepening))
+            for finder, oracle in searches:
+                w = finder(g, guard=128)
+                assert (None if w is None else tuple(w.detail_map().values())) == oracle(g)
+                found += w is not None
+    # theta in each wall and biclique, prism in each line graph
+    assert found == 4 * 3
 
 
 def test_pattern_library_sizes():

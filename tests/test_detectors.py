@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from obslab import detectors as det
 from obslab.errors import InvalidInput, ScaleLimit
 from obslab.generators import (
+    basic_obstruction,
     complete,
     complete_bipartite,
     cone,
@@ -119,6 +120,37 @@ def test_prism_cases():
     )
     w = det.find_prism(prism6)
     assert w is not None and det.validate_witness(prism6, w)
+
+
+# finder, obstruction kind, then the Graph.bfs_dist calls made and search
+# nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
+# the finder, then by the plain cap-deepening route, in which every
+# induced-path search computed its own distances (tests/deepening_oracles.py)
+_PINNED_WORK = [
+    (det.find_prism, "line_of_wall", 744, 21, 13_859, 1_407),  # n=123
+    (det.find_theta, "wall", 298, 8_231, 3_841, 11_671),  # n=112
+]
+
+
+@pytest.mark.parametrize("finder,kind,calls,nodes,plain_calls,plain_nodes", _PINNED_WORK)
+def test_three_path_search_work_is_pinned(
+    finder, kind, calls, nodes, plain_calls, plain_nodes, monkeypatch
+):
+    g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
+    made = []
+    bfs = Graph.bfs_dist
+
+    def counted(self, *args):
+        made.append(args)
+        return bfs(self, *args)
+
+    monkeypatch.setattr(Graph, "bfs_dist", counted)
+    w = finder(g, guard=128, budget=nodes)
+    assert w is not None and det.validate_witness(g, w)
+    assert len(made) == calls and 10 * calls <= plain_calls
+    assert nodes < plain_nodes
+    with pytest.raises(ScaleLimit):
+        finder(g, guard=128, budget=nodes - 1)
 
 
 def test_even_wheel_cases():

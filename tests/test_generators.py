@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from obslab import generators
 from obslab.detectors import (
     contains_induced,
     find_clique,
@@ -18,6 +19,7 @@ from obslab.generators import (
     complete_bipartite,
     cone,
     crystal_graph,
+    cycle,
     double_star,
     enumerate_graphs,
     k_tree_enumerate,
@@ -29,7 +31,7 @@ from obslab.generators import (
     tree_T,
     wall,
 )
-from obslab.graph_core import bits, mask_of
+from obslab.graph_core import MAX_VERTICES, bits, mask_of
 from obslab.structures import validate_crystal, validate_phantom
 
 
@@ -37,6 +39,27 @@ def test_complete_and_biclique():
     assert complete(1).n == 1 and complete(1).m == 0
     assert complete_bipartite(1, 1) == complete(2)
     assert complete(5).m == 10
+
+
+@pytest.mark.parametrize(
+    "build,args",
+    [
+        (complete, (MAX_VERTICES + 1,)),
+        (complete, (10**15,)),
+        (complete_bipartite, (MAX_VERTICES, 1)),
+        (cycle, (10**15,)),
+        (path_graph, (MAX_VERTICES + 1,)),
+    ],
+)
+def test_vertex_count_is_capped_before_any_edge(build, args, monkeypatch):
+    # every edge list is built from range(); forbid it, so an unchecked count
+    # fails here instead of allocating
+    def forbidden(*_):
+        raise AssertionError("edge list built before the vertex count was checked")
+
+    monkeypatch.setattr(generators, "range", forbidden, raising=False)
+    with pytest.raises(InvalidInput, match="vertex count"):
+        build(*args)
 
 
 def test_cone_cases():
