@@ -108,41 +108,28 @@ def cmd_gen(args) -> int:
 # -- detect ---------------------------------------------------------------------
 
 
+# structure -> finder from the graph and the parsed arguments; the
+# class-membership report also says whether the graph is a member
+_STRUCTURES = {
+    "hole": lambda g, a: det.find_hole(g),
+    "even-hole": lambda g, a: det.find_even_hole(g, a.guard),
+    "theta": lambda g, a: det.find_theta(g, a.guard),
+    "prism": lambda g, a: det.find_prism(g, a.guard),
+    "even-wheel": lambda g, a: det.find_even_wheel(g, a.guard),
+    "clique": lambda g, a: det.find_clique(g, a.c, a.guard),
+    "biclique": lambda g, a: det.find_induced_biclique(g, a.s, a.s, a.guard),
+    "class-membership": lambda g, a: det.membership_E_t(g, a.t, a.guard),
+}
+
+
 def cmd_detect(args) -> int:
     g = _read_graph(args)
-    guard = args.guard
-    kind = args.structure
-    if kind == "hole":
-        w = det.find_hole(g)
-    elif kind == "even-hole":
-        w = det.find_even_hole(g, guard)
-    elif kind == "theta":
-        w = det.find_theta(g, guard)
-    elif kind == "prism":
-        w = det.find_prism(g, guard)
-    elif kind == "even-wheel":
-        w = det.find_even_wheel(g, guard)
-    elif kind == "clique":
-        w = det.find_clique(g, args.c, guard)
-    elif kind == "biclique":
-        w = det.find_induced_biclique(g, args.s, args.s, guard)
-    elif kind == "class-membership":
-        w = det.membership_E_t(g, args.t, guard)
-        report = {
-            "found": w is not None,
-            "member": w is None,
-            "vertices": list(w.vertices) if w else [],
-            "roles": {str(v): r for v, r in (w.roles.items() if w else ())},
-        }
-        _emit(report)
-        return EXIT_OK
-    else:
-        raise InvalidInput(f"unknown structure {kind!r}")
-    report = {
-        "found": w is not None,
-        "vertices": list(w.vertices) if w else [],
-        "roles": {str(v): r for v, r in (w.roles.items() if w else ())},
-    }
+    w = _STRUCTURES[args.structure](g, args)
+    report = {"found": w is not None}
+    if args.structure == "class-membership":
+        report["member"] = w is None
+    report["vertices"] = list(w.vertices) if w else []
+    report["roles"] = {str(v): r for v, r in (w.roles.items() if w else ())}
     _emit(report)
     return EXIT_OK
 
@@ -194,15 +181,13 @@ def cmd_validate(args) -> int:
             zset = [gc.json_int(z, "mirrored-set vertex") for z in zset]
             ok, why = st.is_mirrored(g, k, zset, args.mirrored)
             bad = None if ok else why
-    elif kind == "decomposition":
+    else:  # decomposition, the last of the parser's choices
         if not isinstance(obj["decomposition"], str):
             raise InvalidInput("'decomposition' must be PACE-style text")
         td, _ = tw.from_pace(obj["decomposition"])
         bad = tw.verify_decomposition(g, td)
         if bad is not None:
             bad = st.StructureViolation(bad.axiom, bad.detail)
-    else:
-        raise InvalidInput(f"unknown structure kind {kind!r}")
     if bad is None:
         _emit({"valid": True})
         return EXIT_OK
@@ -266,27 +251,26 @@ def _run_extract(args, obj) -> int:
         p = st.phantom_from_json_obj(obj["phantom"])
         out = ext.phantom_to_crystal(g, p, param("f"), param("g"))
         return _emit_extraction(out)
-    if op == "phantom-to-cone-tree":
-        p = st.phantom_from_json_obj(obj["phantom"])
-        out = ext.phantom_to_cone_tree(
-            g,
-            [gc.json_int(v, "context vertex") for v in obj["context"]],
-            param("z1"),
-            param("z2"),
-            param("z"),
-            p,
-            d=param("d"),
-            g=param("g"),
-            h=param("h"),
-            t=param("t"),
-        )
-        if isinstance(out, ext.HypothesisViolation):
-            return _emit_violation(out)
-        if isinstance(out, ext.ClassObstruction):
-            payload = {"kind": out.kind, "vertices": list(out.vertices)}
-            return _emit_outcome("class-obstruction", payload, code=EXIT_VIOLATION)
-        return _emit_extraction(out)
-    raise InvalidInput(f"unknown extraction operation {op!r}")
+    # phantom-to-cone-tree, the last of the parser's choices
+    p = st.phantom_from_json_obj(obj["phantom"])
+    out = ext.phantom_to_cone_tree(
+        g,
+        [gc.json_int(v, "context vertex") for v in obj["context"]],
+        param("z1"),
+        param("z2"),
+        param("z"),
+        p,
+        d=param("d"),
+        g=param("g"),
+        h=param("h"),
+        t=param("t"),
+    )
+    if isinstance(out, ext.HypothesisViolation):
+        return _emit_violation(out)
+    if isinstance(out, ext.ClassObstruction):
+        payload = {"kind": out.kind, "vertices": list(out.vertices)}
+        return _emit_outcome("class-obstruction", payload, code=EXIT_VIOLATION)
+    return _emit_extraction(out)
 
 
 def _jsonable(x):
@@ -406,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("detect", help="search the stdin graph for a structure")
-    p.add_argument("structure")
+    p.add_argument("structure", choices=tuple(_STRUCTURES))
     p.add_argument("--c", type=_flag_int, default=3)
     p.add_argument("--s", type=_flag_int, default=2)
     p.add_argument("--t", type=_flag_int, default=None)

@@ -44,9 +44,9 @@ def _check_scale(g: Graph, guard: int, what: str) -> None:
 class _Budget:
     """Search nodes left for one finder call, and that call's distance memo:
     the graph does not change during the call, so the distances to a vertex
-    inside a mask are computed once, however many candidates and length caps
-    ask _to_dst for them.  Each is kept as a 16-bit array, 2 bytes a vertex against
-    a list's 8; no distance reaches MAX_VERTICES."""
+    inside a mask are computed once, however many candidates, roots and
+    length caps ask _to_dst for them.  Each is kept as a 16-bit array, 2
+    bytes a vertex against a list's 8; no distance reaches MAX_VERTICES."""
 
     __slots__ = ("left", "what", "dists")
 
@@ -194,45 +194,20 @@ def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
 
 
 def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
-    """Induced cycles of g, each length in turn, canonical root = minimum
-    vertex, in deterministic order.  Distance-to-root pruning keeps the walk
-    near-geodesic on sparse inputs; each root's distances are computed once
-    and serve every length."""
-    dists: list[list[int] | None] = [None] * g.n
+    """Induced cycles of g, each length in turn, each read once and in
+    deterministic order: as (root, a, ..., b) with root the lowest vertex
+    and a < b its two neighbors on the cycle.  a, ..., b, root is an induced
+    path through vertices above root that avoids root's neighbors below a,
+    so a is never root's highest neighbor."""
     for target in lengths:
         for root in range(g.n):
-            if dists[root] is None:
-                # only vertices above the root may appear, making the root canonical
-                dists[root] = g.bfs_dist(root, g.full_mask() >> root << root)
-            dist = dists[root]
-            rbit = 1 << root
-            path = [root]
-            pmask = rbit
-
-            def extend(end: int, interior_ban: int) -> Iterator[tuple[int, ...]]:
-                nonlocal pmask
-                budget.spend()
-                k = len(path)
-                if k == target:
-                    if g.adj[end] & rbit:
-                        yield tuple(path)
-                    return
-                cand = g.adj[end] & ~interior_ban & ~pmask
-                for v in bits(cand):
-                    if dist[v] < 0 or dist[v] > target - k:
-                        continue
-                    closes = bool(g.adj[v] & rbit)
-                    if closes and k not in (1, target - 1):
-                        continue
-                    path.append(v)
-                    pmask |= 1 << v
-                    # the root's own neighborhood is not banned: adjacency to the
-                    # root means closure and is policed by the position check
-                    yield from extend(v, interior_ban | (0 if k == 1 else g.adj[end]))
-                    path.pop()
-                    pmask ^= 1 << v
-
-            yield from extend(root, 0)
+            above = g.full_mask() >> (root + 1) << (root + 1)
+            ups = g.adj[root] & above
+            for a in list(bits(ups))[:-1]:
+                pool = above & ~(ups & ((1 << a) - 1))
+                for p in _induced_paths(g, a, root, pool, target - 1, budget):
+                    if len(p) == target:
+                        yield (root, *p[:-1])
 
 
 def find_even_hole(
@@ -313,13 +288,10 @@ def _induced_paths(
     max_len: int,
     budget: _Budget,
 ) -> Iterator[tuple[int, ...]]:
-    """Induced src-dst paths of length <= max_len whose interiors stay in the
-    allowed mask.  Deterministic ascending-vertex order, distance pruned; the
-    caller has checked with _floors that a path fits under max_len."""
-    if g.has_edge(src, dst):
-        yield (src, dst)
-        # the direct edge makes every longer sequence non-induced
-        return
+    """src-dst paths of length 2..max_len, induced apart from a src-dst edge,
+    whose interiors stay in the allowed mask: the induced paths when src and
+    dst are not adjacent, the rest of a hole through that edge when they are.
+    Deterministic ascending-vertex order, distance pruned."""
     pool, dist = _to_dst(g, src, dst, interior_allowed, budget)
     path = [src]
     pmask = 1 << src
@@ -360,7 +332,9 @@ def _anticomplete_paths(
     path is enumerated unless the floor of every pair left fits under cap."""
     if not all(0 < f <= cap for f in _floors(g, ends, pools, budget)):
         return None
-    for p in _induced_paths(g, *ends[0], pools[0], cap, budget):
+    # the direct edge makes every longer sequence non-induced
+    edge = g.has_edge(*ends[0])
+    for p in [ends[0]] if edge else _induced_paths(g, *ends[0], pools[0], cap, budget):
         if len(ends) == 1:
             return (p,)
         ban = _closed(g, mask_of(p[1:-1]))
@@ -393,15 +367,27 @@ def _shortest_three_paths(g: Graph, candidates, budget: _Budget):
     return None
 
 
+def _claw_centre(g: Graph, v: int) -> bool:
+    """Whether v has three pairwise non-adjacent neighbors."""
+    nb = g.adj[v]
+    for x in bits(nb):
+        rest = nb & ~g.adj[x] & ~(1 << x)
+        if any(rest & ~g.adj[y] & ~(1 << y) for y in bits(rest)):
+            return True
+    return False
+
+
 def find_theta(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
     """Two non-adjacent ends joined by three induced paths of length >= 2 with
-    pairwise disjoint, pairwise anticomplete interiors."""
+    pairwise disjoint, pairwise anticomplete interiors.  The paths' first
+    interior vertices are three pairwise non-adjacent neighbors of an end,
+    so only a claw centre can be one: a claw-free graph has no theta."""
     b = _start(g, guard, budget, "find_theta")
     if b is None:
         return None
-    ends = [v for v in range(g.n) if g.degree(v) >= 3]
+    ends = [v for v in range(g.n) if _claw_centre(g, v)]
     full = g.full_mask()
 
     def candidates():

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import (
+    MAX_VERTICES,
     Digraph,
     Graph,
     bits,
@@ -91,6 +92,7 @@ def double_star(a: int, b: int) -> tuple[Graph, tuple[int, int]]:
     """Two adjacent centers with a and b pendant leaves; returns the middle edge."""
     if a < 1 or b < 1:
         raise InvalidInput("double star needs at least one leaf per center")
+    check_vertex_count(2 + a + b)
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
@@ -104,6 +106,14 @@ def tree_T(d: int, r: int) -> tuple[Graph, int]:
     """
     if d < 1 or r < 0:
         raise InvalidInput("need d >= 1 and r >= 0")
+    # level by level, stopping past the cap: d ** r itself may be huge
+    size = width = 1
+    depth = 0
+    while depth < r and size <= MAX_VERTICES:
+        width *= d
+        size += width
+        depth += 1
+    check_vertex_count(size)
     edges = []
     level = [0]
     nxt = 1
@@ -124,6 +134,7 @@ def crystal_graph(spec: CrystalSpec) -> Graph:
     Vertices: 0,1 are the glued middle-edge ends; then per arm an apex and
     its two leaf groups.
     """
+    check_vertex_count(2 + sum(1 + a + b for a, b in spec.arms))
     edges = [(0, 1)]
     nxt = 2
     for a, b in spec.arms:
@@ -148,6 +159,7 @@ def _brick_wall(h: int, w: int | None = None) -> Graph:
     if w is None:
         w = h
     rows, cols = h + 1, 2 * w + 2
+    check_vertex_count(rows * cols)
     vid = {(r, c): r * cols + c for r in range(rows) for c in range(cols)}
     edges = []
     for r in range(rows):
@@ -218,6 +230,7 @@ def k_tree_random(k: int, n: int, seed: int) -> Graph:
     existing k-clique."""
     if k < 1 or n < k:
         raise InvalidInput("need n >= k >= 1")
+    check_vertex_count(n)
     rng = SplitMix(seed)
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     cliques = [tuple(range(k))]
@@ -437,8 +450,10 @@ def plant_phantom_in(
     layers = [z0]
     maps = []
     cur = set(z0)
-    for level in range(1, r + 1):
-        inside = edges_inside(cur if level > 1 else z0)
+    while len(layers) <= r:
+        inside = edges_inside(cur)
+        # each level adds d vertices per edge inside what is built so far
+        check_vertex_count(n + d * len(inside))
         gamma: dict[tuple[int, int], frozenset[int]] = {}
         for e in sorted(inside):
             fresh = [add_vertex() for _ in range(d)]
@@ -488,6 +503,8 @@ def plant_crystal(
     never violate the defining clauses but usually destroy clearness."""
     if f < 1 or g < 1:
         raise InvalidInput("need f >= 1 and g >= 1")
+    # before the noise loop, which is quadratic in the vertex count
+    check_vertex_count(2 + f * (1 + 2 * g))
     z1, z2 = 0, 1
     edges = [(z1, z2)]
     apexes = list(range(2, 2 + f))

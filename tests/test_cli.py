@@ -359,7 +359,14 @@ def test_gen_obstruction_takes_a_kind_name():
 
 @pytest.mark.parametrize(
     "argv",
-    [["validate", "nonsense"], ["extract", "nonsense"], ["verify", "nonsense"], ["tw", "--bogus"], []],
+    [
+        ["validate", "nonsense"],
+        ["extract", "nonsense"],
+        ["verify", "nonsense"],
+        ["tw", "--bogus"],
+        [],
+        ["detect", "nonsense"],
+    ],
 )
 def test_usage_errors_exit_one(argv):
     assert run_cli(argv)[0] == 1

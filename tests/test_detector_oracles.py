@@ -7,12 +7,13 @@ from itertools import combinations
 from hypothesis import given, settings
 
 from obslab import detectors as det
-from obslab.generators import basic_obstruction, random_graph
+from obslab.generators import basic_obstruction, enumerate_graphs, random_graph
 from obslab.graph_core import Graph, mask_of
 from obslab.rng import SplitMix
 
 from .conftest import graphs
 from .deepening_oracles import prism_by_deepening, theta_by_deepening
+from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles
 from .subset_oracles import even_hole_by_subsets, is_cycle_subset
 
 
@@ -131,11 +132,40 @@ def test_even_hole_routes_agree_at_production_sizes():
             assert len(w.vertices) == len(subset.vertices)  # both shortest-first
 
 
+def _hole_differential_graphs():
+    for n in range(7):
+        yield from enumerate_graphs(n)
+    rng = SplitMix(29)
+    for _ in range(3):
+        seed = rng.next_u64()
+        for kind in ("wall", "biclique", "line_of_wall"):
+            yield basic_obstruction(3, kind, seed=seed)
+    rng = SplitMix(31)
+    for _ in range(40):
+        n = 12 + rng.below(9)
+        yield random_graph(n, rng.next_u64(), 1 + rng.below(3), 8)
+
+
+def test_hole_finders_match_per_root_cycles():
+    # each hole read once, from the lower neighbor of its lowest vertex,
+    # against the per-root DFS that read it in both directions: the same
+    # first even hole, and the same first even wheel rim and hub
+    wheels = 0
+    for g in _hole_differential_graphs():
+        w = det.find_even_hole(g, guard=128)
+        assert (None if w is None else w.detail_map()["cycle"]) == even_hole_by_cycles(g)
+        w = det.find_even_wheel(g, guard=128)
+        assert (None if w is None else tuple(w.detail_map().values())) == even_wheel_by_cycles(g)
+        wheels += w is not None
+    assert wheels > 0
+
+
 def test_three_path_finders_match_plain_deepening():
     # memoised distances and first-feasible-cap deepening against the plain
     # route, on the t=3 obstructions: the same key and paths, or both None.
     # Walls have no triangle.  Line graphs are claw-free and so hold no
-    # theta, but certifying that by search exhausts the finder's budget.
+    # theta: the finder tries no end there, but the plain route tries every
+    # vertex of degree >= 3 and would search until it exhausts.
     rng = SplitMix(29)
     found = 0
     for _ in range(4):

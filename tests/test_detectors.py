@@ -75,6 +75,14 @@ def test_even_hole_matches_oracle(g):
         assert len(w.vertices) == len(even_hole_by_subsets(g).vertices)
 
 
+def test_theta_needs_a_claw_centre():
+    # line graphs are claw-free, so no vertex can be a theta end and no
+    # search node is spent
+    g = basic_obstruction(3, "line_of_wall", seed=SplitMix(29).next_u64())
+    assert det.find_hole(g) is not None
+    assert det.find_theta(g, guard=128, budget=0) is None
+
+
 def test_theta_cases():
     w = det.find_theta(complete_bipartite(2, 3))
     assert w is not None and det.validate_witness(complete_bipartite(2, 3), w)
@@ -132,11 +140,8 @@ _PINNED_WORK = [
 ]
 
 
-@pytest.mark.parametrize("finder,kind,calls,nodes,plain_calls,plain_nodes", _PINNED_WORK)
-def test_three_path_search_work_is_pinned(
-    finder, kind, calls, nodes, plain_calls, plain_nodes, monkeypatch
-):
-    g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
+def _counted_bfs(monkeypatch) -> list:
+    """The arguments of every Graph.bfs_dist call made from now on."""
     made = []
     bfs = Graph.bfs_dist
 
@@ -145,10 +150,54 @@ def test_three_path_search_work_is_pinned(
         return bfs(self, *args)
 
     monkeypatch.setattr(Graph, "bfs_dist", counted)
+    return made
+
+
+@pytest.mark.parametrize("finder,kind,calls,nodes,plain_calls,plain_nodes", _PINNED_WORK)
+def test_three_path_search_work_is_pinned(
+    finder, kind, calls, nodes, plain_calls, plain_nodes, monkeypatch
+):
+    g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
+    made = _counted_bfs(monkeypatch)
     w = finder(g, guard=128, budget=nodes)
     assert w is not None and det.validate_witness(g, w)
     assert len(made) == calls and 10 * calls <= plain_calls
     assert nodes < plain_nodes
+    with pytest.raises(ScaleLimit):
+        finder(g, guard=128, budget=nodes - 1)
+
+
+def _wheel_free_clique_sum():
+    """C5s, C7s and triangles glued on vertices and edges (n=29): a wheel has
+    no clique cutset, so it would lie inside one piece, and none has a hub."""
+    pieces = [(5, ()), (3, (0, 1)), (7, (5,)), (3, (6, 7)), (5, (7, 12))]
+    pieces += [(3, (2, 3)), (7, (16,)), (3, (14,)), (5, (23, 24)), (3, (20, 21))]
+    return _clique_sum(pieces)
+
+
+# finder, graph (the t=4 obstruction of SplitMix(1)'s first seed, or the
+# clique sum below), whether it holds the structure, then the Graph.bfs_dist
+# calls made and search nodes needed: first by the finder, which reads each
+# hole once, then by the per-root cycle DFS it replaced, which read each hole
+# in both directions (tests/hole_oracles.py)
+_HOLE_WORK = [
+    (det.find_even_wheel, "clique_sum", False, 15, 2_620, 29, 8_100),  # n=29
+    (det.find_even_hole, "line_of_wall", True, 60, 1_743, 123, 5_018),  # n=123
+]
+
+
+@pytest.mark.parametrize("finder,kind,found,calls,nodes,old_calls,old_nodes", _HOLE_WORK)
+def test_hole_stream_work_is_pinned(
+    finder, kind, found, calls, nodes, old_calls, old_nodes, monkeypatch
+):
+    if kind == "clique_sum":
+        g = _wheel_free_clique_sum()
+    else:
+        g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
+    made = _counted_bfs(monkeypatch)
+    w = finder(g, guard=128, budget=nodes)
+    assert (w is not None) == found and (w is None or det.validate_witness(g, w))
+    assert len(made) == calls < old_calls and 2 * nodes <= old_nodes
     with pytest.raises(ScaleLimit):
         finder(g, guard=128, budget=nodes - 1)
 
@@ -215,12 +264,8 @@ def _clique_sum(pieces):
 
 
 def test_even_wheel_absence_is_one_pass():
-    # C5s, C7s and triangles glued on vertices and edges: a wheel has no
-    # clique cutset, so it would lie inside one piece, and none has a hub.
-    # One pass over the holes certifies that in 8,100 search nodes.
-    pieces = [(5, ()), (3, (0, 1)), (7, (5,)), (3, (6, 7)), (5, (7, 12))]
-    pieces += [(3, (2, 3)), (7, (16,)), (3, (14,)), (5, (23, 24)), (3, (20, 21))]
-    g = _clique_sum(pieces)
+    # one pass over the holes certifies absence in 2,620 search nodes
+    g = _wheel_free_clique_sum()
     assert g.n == 29 and det.find_hole(g) is not None
     assert det.find_even_wheel(g, budget=10_000) is None
 

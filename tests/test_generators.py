@@ -27,6 +27,7 @@ from obslab.generators import (
     path_graph,
     plant_crystal,
     plant_phantom,
+    plant_phantom_in,
     seeded_subdivision,
     tree_T,
     wall,
@@ -49,6 +50,14 @@ def test_complete_and_biclique():
         (complete_bipartite, (MAX_VERTICES, 1)),
         (cycle, (10**15,)),
         (path_graph, (MAX_VERTICES + 1,)),
+        (double_star, (MAX_VERTICES, 1)),
+        (tree_T, (10, 10)),
+        (tree_T, (1, 10**15)),
+        (crystal_graph, (CrystalSpec(1, ((MAX_VERTICES, 1),)),)),
+        (wall, (100,)),
+        (k_tree_random, (2, MAX_VERTICES + 1, 0)),
+        (plant_phantom_in, (complete(3), (0, 1, 2), 4_000, 1)),
+        (plant_crystal, (MAX_VERTICES, 1)),
     ],
 )
 def test_vertex_count_is_capped_before_any_edge(build, args, monkeypatch):
@@ -204,6 +213,14 @@ def test_plant_phantom_minimal():
     assert host.n == 4  # base pair plus the two fresh common neighbors
     host, p = plant_phantom(complete(2), 2, 0)
     assert p.r == 0 and host == complete(2)
+
+
+def test_plant_phantom_is_capped_level_by_level():
+    # from a triangle with d = 2 the levels reach 9, 39, 189, 939 and 4,689
+    # vertices; the sixth would pass the cap and is never built
+    assert plant_phantom(complete(3), 2, 5)[0].n == 4_689
+    with pytest.raises(InvalidInput, match="vertex count"):
+        plant_phantom(complete(3), 2, 8)
 
 
 @pytest.mark.parametrize("d,r", [(2, 1), (2, 2), (3, 2), (4, 1)])
