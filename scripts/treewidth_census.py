@@ -29,7 +29,7 @@ def main() -> int:
     print("= raw brick family (h rows, h columns of bricks)")
     for h in (1, 2):
         row(f"brick({h},{h})", _brick_wall(h, h))
-    print("= calibrated walls (treewidth equals the parameter)")
+    print("= calibrated walls (treewidth equals the parameter for t >= 2; wall(1) is C6)")
     for t in range(1, args.t_max + 1):
         row(f"wall({t})", wall(t))
     print("= dense obstructions")

@@ -61,14 +61,6 @@ class _Budget:
             raise ScaleLimit(f"{self.what}: search budget exhausted")
 
 
-def _closed(g: Graph, mask: int) -> int:
-    """Closed neighborhood of a vertex set: the set and all its neighbors."""
-    reach = mask
-    for v in bits(mask):
-        reach |= g.adj[v]
-    return reach
-
-
 @dataclass(frozen=True)
 class Witness:
     """A found structure; roles label each vertex, detail keeps ordered data
@@ -132,7 +124,8 @@ def find_hole(g: Graph) -> Witness | None:
 
     For each two-edge path a-b-c with a,c non-adjacent, a hole through b
     exists iff a and c stay connected once the rest of N[b] is removed; the
-    shortest such connection closes an induced cycle.
+    lexicographically least shortest a-c path closes an induced cycle.  It is
+    walked from a, each step to the lowest neighbor one layer nearer c.
     """
     chordal, _ = is_chordal(g)
     if chordal:
@@ -144,40 +137,23 @@ def find_hole(g: Graph) -> Witness | None:
                 a, c = nb[ai], nb[ci]
                 if g.has_edge(a, c):
                     continue
-                allowed = g.full_mask() & ~(_closed(g, 1 << b) & ~mask_of((a, c)))
-                seq = _shortest_path(g, a, c, allowed)
-                if seq is not None:
-                    cycle = (b, *seq)
-                    return Witness(
-                        "hole",
-                        tuple(sorted(cycle)),
-                        {v: "hole" for v in cycle},
-                        (("cycle", cycle),),
-                    )
+                allowed = g.full_mask() & ~((1 << b) | g.adj[b]) | (1 << a) | (1 << c)
+                layers = g.layers(c, allowed)
+                d = next((d for d, layer in enumerate(layers) if layer >> a & 1), None)
+                if d is None:
+                    continue
+                seq = [a]
+                for layer in reversed(layers[:d]):
+                    step = g.adj[seq[-1]] & layer
+                    seq.append((step & -step).bit_length() - 1)
+                cycle = (b, *seq)
+                return Witness(
+                    "hole",
+                    tuple(sorted(cycle)),
+                    {v: "hole" for v in cycle},
+                    (("cycle", cycle),),
+                )
     raise AssertionError("non-chordal graph must contain a hole")
-
-
-def _shortest_path(g: Graph, src: int, dst: int, allowed: int) -> tuple[int, ...] | None:
-    """Shortest src-dst path inside allowed (both endpoints must be allowed)."""
-    if not ((allowed >> src) & 1 and (allowed >> dst) & 1):
-        return None
-    prev = {src: -1}
-    frontier = [src]
-    seen = 1 << src
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bits(g.adj[v] & allowed & ~seen):
-                seen |= 1 << u
-                prev[u] = v
-                nxt.append(u)
-                if u == dst:
-                    seq = [u]
-                    while prev[seq[-1]] != -1:
-                        seq.append(prev[seq[-1]])
-                    return tuple(reversed(seq))
-        frontier = nxt
-    return None
 
 
 # -- hole-based finders: shared prologue, induced cycles, even hole and wheel ----
@@ -337,7 +313,8 @@ def _anticomplete_paths(
     for p in [ends[0]] if edge else _induced_paths(g, *ends[0], pools[0], cap, budget):
         if len(ends) == 1:
             return (p,)
-        ban = _closed(g, mask_of(p[1:-1]))
+        inner = mask_of(p[1:-1])
+        ban = inner | g.neighborhood(inner)
         rest = _anticomplete_paths(g, ends[1:], [q & ~ban for q in pools[1:]], cap, budget)
         if rest is not None:
             return (p, *rest)
@@ -444,8 +421,8 @@ def find_prism(
         for t1, t2 in tri_pairs:
             t1m, t2m = mask_of(t1), mask_of(t2)
             # interiors avoid all six corners and every other corner's neighborhood
-            ban1 = {u: t1m | t2m | _closed(g, t1m & ~(1 << u)) for u in t1}
-            ban2 = {w: _closed(g, t2m & ~(1 << w)) for w in t2}
+            ban1 = {u: t1m | t2m | g.neighborhood(t1m & ~(1 << u)) for u in t1}
+            ban2 = {w: g.neighborhood(t2m & ~(1 << w)) for w in t2}
             for matched in permutations(t2):
                 # lists, not tuple() of an iterator: such tuples are allocated
                 # afresh and, once freed, fill the interpreter's tuple free list
@@ -706,12 +683,12 @@ def anticomplete_family(
         if m & taken:
             raise InvalidInput("anticomplete_family requires pairwise disjoint sets")
         taken |= m
-    closed = [_closed(g, m) for m in masks]
+    nbhd = [g.neighborhood(m) for m in masks]
     k = len(masks)
     compat = [0] * k
     for i in range(k):
         for j in range(i + 1, k):
-            if not (closed[i] & masks[j]):
+            if not (nbhd[i] & masks[j]):
                 compat[i] |= 1 << j
                 compat[j] |= 1 << i
 

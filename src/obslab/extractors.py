@@ -480,17 +480,8 @@ def brute_force_crystal(
         raise ScaleLimit(f"brute_force_crystal: {G.n} vertices exceeds {guard}")
     for z1, z2 in G.edges():
         others = [v for v in range(G.n) if v not in (z1, z2)]
-        pool1 = {}
-        pool2 = {}
-        for x in others:
-            a1 = G.has_edge(x, z1)
-            a2 = G.has_edge(x, z2)
-            if a1 and not a2:
-                pool1.setdefault("side", []).append(x)
-            if a2 and not a1:
-                pool2.setdefault("side", []).append(x)
-        cand1 = pool1.get("side", [])
-        cand2 = pool2.get("side", [])
+        cand1 = [x for x in others if G.has_edge(x, z1) and not G.has_edge(x, z2)]
+        cand2 = [x for x in others if G.has_edge(x, z2) and not G.has_edge(x, z1)]
         for apexes in itertools.combinations(others, f):
             am = mask_of(apexes)
             per1 = []

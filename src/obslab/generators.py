@@ -20,6 +20,7 @@ from .graph_core import (
     bits,
     check_vertex_count,
     check_vertex_set,
+    induced_subgraph,
     line_graph,
     mask_of,
     subdivide,
@@ -179,20 +180,18 @@ def _brick_wall(h: int, w: int | None = None) -> Graph:
         if not drop:
             break
         keep &= ~drop
-    old = list(bits(keep))
-    index = {v: i for i, v in enumerate(old)}
-    out = [(index[u], index[v]) for u, v in g.edges() if (keep >> u) & 1 and (keep >> v) & 1]
-    return Graph.from_edges(len(old), out)
+    return induced_subgraph(g, bits(keep))[0]
 
 
 def wall(spec: WallSpec | int) -> Graph:
-    """The t-by-t hexagonal wall, calibrated so its treewidth is exactly t.
+    """The t-by-t hexagonal wall, calibrated so its treewidth is exactly t
+    for t >= 2.
 
     The raw square brick family with h brick rows has treewidth h+1 (checked
     by the exact solver for h <= 2), so the parameter is shifted internally:
     wall(t) is the brick wall with t-1 rows and t columns of bricks for
     t >= 2 (keeping a degree-three vertex in every member), and wall(1) is
-    the single elementary brick, a six-cycle.
+    the single elementary brick, a six-cycle, of treewidth 2.
     """
     t = spec.t if isinstance(spec, WallSpec) else WallSpec(spec).t
     if t == 1:

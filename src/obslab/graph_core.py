@@ -95,9 +95,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     # -- derived graphs -------------------------------------------------
 
     def complement(self) -> "Graph":
@@ -116,41 +113,45 @@ class Graph:
 
     # -- traversal ------------------------------------------------------
 
-    def bfs_dist(self, src: int, allowed: int | None = None) -> list[int]:
-        """Distances from src inside the allowed mask; -1 where unreachable."""
+    def neighborhood(self, mask: int) -> int:
+        """The OR of the adjacency rows of mask: every vertex with a neighbor
+        in mask.  A bit loop, not bits(): every traversal runs through it."""
+        adj = self.adj
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= adj[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def layers(self, src: int, allowed: int | None = None) -> list[int]:
+        """Breadth-first frontiers from src inside the allowed mask: entry d
+        is the set of vertices at distance exactly d.  Empty when src is not
+        allowed."""
         if allowed is None:
             allowed = self.full_mask()
-        dist = [-1] * self.n
-        if not (allowed >> src) & 1:
-            return dist
-        dist[src] = 0
-        frontier = 1 << src
+        frontier = (1 << src) & allowed
         seen = frontier
-        d = 0
+        out = []
         while frontier:
-            d += 1
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            nxt &= allowed & ~seen
-            for v in bits(nxt):
+            out.append(frontier)
+            frontier = self.neighborhood(frontier) & allowed & ~seen
+            seen |= frontier
+        return out
+
+    def bfs_dist(self, src: int, allowed: int | None = None) -> list[int]:
+        """Distances from src inside the allowed mask; -1 where unreachable."""
+        dist = [-1] * self.n
+        for d, layer in enumerate(self.layers(src, allowed)):
+            for v in bits(layer):
                 dist[v] = d
-            seen |= nxt
-            frontier = nxt
         return dist
 
     def component_mask(self, src: int, allowed: int | None = None) -> int:
-        if allowed is None:
-            allowed = self.full_mask()
-        comp = (1 << src) & allowed
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
-            nxt &= allowed & ~comp
-            comp |= nxt
-            frontier = nxt
+        """The vertices src reaches inside the allowed mask."""
+        comp = 0
+        for layer in self.layers(src, allowed):
+            comp |= layer
         return comp
 
     # -- dunder ----------------------------------------------------------
@@ -189,7 +190,7 @@ def is_anticomplete_to(g: Graph, xs: Iterable[int] | int, ys: Iterable[int] | in
     """No cross pair adjacent (vacuously true when either side is empty)."""
     xm = xs if isinstance(xs, int) else check_vertex_set(g, xs)
     ym = ys if isinstance(ys, int) else check_vertex_set(g, ys)
-    return all(not (g.adj[v] & ym) for v in bits(xm))
+    return not (g.neighborhood(xm) & ym)
 
 
 def set_relation(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> str:
@@ -216,7 +217,7 @@ def set_relation(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> str:
 
 def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
     xm = check_vertex_set(g, xs)
-    return all(not (g.adj[v] & xm) for v in bits(xm))
+    return not (g.neighborhood(xm) & xm)
 
 
 def is_clique(g: Graph, xs: Iterable[int]) -> bool:
@@ -356,9 +357,6 @@ class Digraph:
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)
-
-    def arcs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.out[u])]
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={sum(a.bit_count() for a in self.out)})"

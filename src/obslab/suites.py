@@ -61,9 +61,7 @@ def seeded_members_with_edge(count: int, seed: int, n_hi: int = 10):
         pick = None
         for u, v in g.edges():
             common = g.adj[u] & g.adj[v]
-            if all(g.degree(w) <= 3 for w in bits(common)) and (
-                not common or all(not (g.adj[w] & common) for w in bits(common))
-            ):
+            if all(g.degree(w) <= 3 for w in bits(common)) and not (g.neighborhood(common) & common):
                 pick = (u, v)
                 break
         if pick is None:

@@ -37,15 +37,13 @@ class DecompositionViolation:
     detail: str
 
 
-def _reach_mask(adj: tuple[int, ...], prefix: int, v: int) -> int:
+def _reach_mask(g: Graph, prefix: int, v: int) -> int:
     """Vertices outside prefix+v adjacent to v directly or through prefix."""
-    reach = adj[v]
+    reach = g.adj[v]
     frontier = reach & prefix
     seen_inside = frontier
     while frontier:
-        grown = 0
-        for u in bits(frontier):
-            grown |= adj[u]
+        grown = g.neighborhood(frontier)
         reach |= grown
         frontier = grown & prefix & ~seen_inside
         seen_inside |= frontier
@@ -62,7 +60,7 @@ def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
     prefix = 0
     bag_masks = []
     for v in order:
-        bag_masks.append(_reach_mask(g.adj, prefix, v) | (1 << v))
+        bag_masks.append(_reach_mask(g, prefix, v) | (1 << v))
         prefix |= 1 << v
     edges = []
     for i, v in enumerate(order):
@@ -154,7 +152,6 @@ def treewidth_exact(
     if lb >= ub:
         return ub, td
     full = g.full_mask()
-    adj = g.adj
     cur: dict[int, int] = {0: -1}
     parent: dict[int, int] = {}
     for _ in range(n):
@@ -162,7 +159,7 @@ def treewidth_exact(
         for prefix in sorted(cur):
             w = cur[prefix]
             for v in bits(full & ~prefix):
-                q = _reach_mask(adj, prefix, v).bit_count()
+                q = _reach_mask(g, prefix, v).bit_count()
                 nw = w if w > q else q
                 if nw >= ub:
                     continue

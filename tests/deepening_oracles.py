@@ -8,8 +8,16 @@ own distances.  Same candidate order, so same witnesses; no search budget.
 
 from itertools import permutations
 
-from obslab.detectors import _closed, _triangles
+from obslab.detectors import _triangles
 from obslab.graph_core import Graph, bits, mask_of
+
+
+def _closed(g: Graph, mask: int) -> int:
+    """The set and all its neighbors."""
+    reach = mask
+    for v in bits(mask):
+        reach |= g.adj[v]
+    return reach
 
 
 def _induced_paths(g: Graph, src: int, dst: int, interior_allowed: int, max_len: int):

@@ -1,10 +1,15 @@
-"""Per-root cycle DFS oracles for the even-hole and even-wheel finders.
+"""Oracles for the hole finders.
 
-The route the finders took before holes were grown by the induced-path
-search: one DFS from every root keeps the walk above the root with its own
-per-root distances and reads every hole twice, once in each direction.  At
-each length and root the first cycle it reads with a given property is the
+Per-root cycle DFS, for the even-hole and even-wheel finders: the route the
+finders took before holes were grown by the induced-path search.  One DFS
+from every root keeps the walk above the root with its own per-root
+distances and reads every hole twice, once in each direction.  At each
+length and root the first cycle it reads with a given property is the
 finders' first one, so the witnesses must agree; no search budget.
+
+First-discoverer BFS, for find_hole: the route it took before it walked the
+breadth-first layers of its far end.  Each vertex keeps the frontier vertex
+that reached it first, and the path is read back from those.
 """
 
 from obslab.graph_core import Graph, bits, mask_of
@@ -58,4 +63,44 @@ def even_wheel_by_cycles(g: Graph):
             k = (g.adj[h] & rim).bit_count()
             if not (rim >> h) & 1 and k >= 4 and k % 2 == 0:
                 return h, order
+    return None
+
+
+def _shortest_path(g: Graph, src: int, dst: int, allowed: int):
+    """Shortest src-dst path inside allowed, each vertex reached from the
+    frontier vertex that found it first; None when dst is out of reach."""
+    prev = {src: -1}
+    frontier = [src]
+    seen = 1 << src
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in bits(g.adj[v] & allowed & ~seen):
+                seen |= 1 << u
+                prev[u] = v
+                nxt.append(u)
+                if u == dst:
+                    seq = [u]
+                    while prev[seq[-1]] != -1:
+                        seq.append(prev[seq[-1]])
+                    return tuple(reversed(seq))
+        frontier = nxt
+    return None
+
+
+def hole_by_shortest_path(g: Graph):
+    """Cycle order of the first hole (b, a, ..., c) over two-edge paths
+    a-b-c with a < c non-adjacent, b ascending: the shortest a-c path that
+    avoids the rest of N[b] closes it.  None when no such path exists, which
+    is exactly when g is chordal."""
+    for b in range(g.n):
+        nb = g.neighbors(b)
+        for i, a in enumerate(nb):
+            for c in nb[i + 1 :]:
+                if g.has_edge(a, c):
+                    continue
+                allowed = g.full_mask() & ~(g.adj[b] | 1 << b) | 1 << a | 1 << c
+                seq = _shortest_path(g, a, c, allowed)
+                if seq is not None:
+                    return (b, *seq)
     return None

@@ -13,7 +13,7 @@ from obslab.rng import SplitMix
 
 from .conftest import graphs
 from .deepening_oracles import prism_by_deepening, theta_by_deepening
-from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles
+from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles, hole_by_shortest_path
 from .subset_oracles import even_hole_by_subsets, is_cycle_subset
 
 
@@ -158,6 +158,20 @@ def test_hole_finders_match_per_root_cycles():
         assert (None if w is None else tuple(w.detail_map().values())) == even_wheel_by_cycles(g)
         wheels += w is not None
     assert wheels > 0
+
+
+def test_find_hole_matches_first_discoverer_bfs():
+    # the walk down the layers of c against the BFS from a that keeps each
+    # vertex's first discoverer: both give the lexicographically least
+    # shortest a-c path, so the same cycle, or both None
+    rng = SplitMix(37)
+    extra = [random_graph(8 + rng.below(23), rng.next_u64(), 1, 4 + rng.below(6)) for _ in range(60)]
+    holes = 0
+    for g in [*_hole_differential_graphs(), *extra]:
+        w = det.find_hole(g)
+        assert (None if w is None else w.detail_map()["cycle"]) == hole_by_shortest_path(g)
+        holes += w is not None
+    assert holes > 100
 
 
 def test_three_path_finders_match_plain_deepening():

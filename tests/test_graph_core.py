@@ -13,6 +13,7 @@ from obslab.graph_core import (
     graph_from_json_obj,
     graph_to_json_obj,
     induced_subgraph,
+    is_anticomplete_to,
     is_stable_set,
     line_graph,
     loads_graph,
@@ -126,6 +127,41 @@ def test_path_validation():
         path_from_vertices(c5, [0, 1, 2, 3, 4])  # closing chord 4-0
     with pytest.raises(InvalidInput):
         path_from_vertices(c5, [0, 2])
+
+
+def _plain_distances(g, src, allowed):
+    """Breadth-first distances over Python sets, from pairwise has_edge."""
+    if src not in allowed:
+        return {}
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = [u for u in sorted(allowed - dist.keys()) if any(g.has_edge(u, v) for v in frontier)]
+        for u in nxt:
+            dist[u] = dist[frontier[0]] + 1
+        frontier = nxt
+    return dist
+
+
+@given(graphs(min_n=1, max_n=9), hst.data())
+@settings(max_examples=80, deadline=None)
+def test_traversals_match_set_definitions(g, data):
+    vertex_sets = hst.sets(hst.integers(min_value=0, max_value=g.n - 1))
+    src = data.draw(hst.integers(min_value=0, max_value=g.n - 1))
+    some = data.draw(vertex_sets)
+    # allowed by default, a drawn set, and the same set without src
+    for allowed in (None, some | {src}, some - {src}):
+        amask = None if allowed is None else sum(1 << v for v in allowed)
+        dist = _plain_distances(g, src, set(range(g.n)) if allowed is None else allowed)
+        depth = max(dist.values(), default=-1) + 1
+        assert g.layers(src, amask) == [sum(1 << v for v in dist if dist[v] == d) for d in range(depth)]
+        assert g.bfs_dist(src, amask) == [dist.get(v, -1) for v in range(g.n)]
+        assert g.component_mask(src, amask) == sum(1 << v for v in dist)
+    xs, ys = data.draw(vertex_sets), data.draw(vertex_sets)
+    seen = {u for u in range(g.n) for x in xs if g.has_edge(u, x)}
+    assert g.neighborhood(sum(1 << x for x in xs)) == sum(1 << u for u in seen)
+    assert is_stable_set(g, xs) == (not any(g.has_edge(x, y) for x in xs for y in xs))
+    assert is_anticomplete_to(g, xs, ys) == (not any(g.has_edge(x, y) for x in xs for y in ys))
 
 
 def test_digraph():
