@@ -1,10 +1,14 @@
 """Exhaustive recognizers for the forbidden and required induced structures.
 
 Every searcher is exact: it returns a witness that re-validates against the
-structure's definition, or certifies absence by exhausting its search space
-(or, for the hole-based structures, by a perfect elimination order).
-Inputs beyond the vertex guard (or searches beyond the node budget) raise
-ScaleLimit rather than answering wrongly.
+structure's definition, or certifies absence by exhausting its search space.
+The hole-based structures (even hole, even wheel, theta, prism) have no
+clique cutset, so each lies inside one atom of the clique-cutset
+decomposition (graph_core.atoms), and their finders search atom by atom: the
+atom list is the certificate of absence, and a chordal graph, certified by a
+perfect elimination order before any atom is computed, is the case where
+every atom is a clique.  Inputs beyond the vertex guard (or searches beyond
+the node budget) raise ScaleLimit rather than answering wrongly.
 
 Determinism: all searches iterate vertices in increasing index order and, for
 the cycle/path searchers, in increasing target length, so witnesses are
@@ -23,8 +27,10 @@ from .errors import InvalidInput, ScaleLimit
 from .graph_core import (
     Digraph,
     Graph,
+    atoms,
     bits,
     check_vertex_set,
+    induced_subgraph,
     is_anticomplete_to,
     is_clique,
     is_stable_set,
@@ -169,6 +175,39 @@ def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
     return _Budget(budget, what)
 
 
+def _lift(data, old: list[int]):
+    """A vertex, or nested tuples of vertices, of an induced subgraph in the
+    labels of the graph it was induced from."""
+    if isinstance(data, tuple):
+        return tuple(_lift(x, old) for x in data)
+    return old[data]
+
+
+def _per_atom(g: Graph, budget: _Budget, search):
+    """search(h, budget) on every atom h of g that is not a clique, as an
+    order-preserving induced subgraph: the smallest (measure, data) found,
+    data in g's labels, or None.  The searched structures have no clique
+    cutset, so each lies inside one atom, and the smallest key in the
+    search's own order is the one the whole graph would give first.  An atom
+    that is a clique has no hole; a graph that is one atom is searched as it
+    is.  One budget covers every atom."""
+    parts = atoms(g)
+    if len(parts) == 1:
+        return search(g, budget)
+    best = None
+    for part in parts:
+        if is_clique(g, part):
+            continue
+        h, _ = induced_subgraph(g, bits(part))
+        budget.dists.clear()  # the memo is keyed by h's labels
+        found = search(h, budget)
+        if found is not None:
+            found = (found[0], _lift(found[1], list(bits(part))))
+            if best is None or found < best:
+                best = found
+    return best
+
+
 def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
     """Induced cycles of g, each length in turn, each read once and in
     deterministic order: as (root, a, ..., b) with root the lowest vertex
@@ -186,39 +225,57 @@ def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple
                         yield (root, *p[:-1])
 
 
+def _first_even_hole(g: Graph, budget: _Budget):
+    """(length, cycle) of the shortest-first even hole, or None."""
+    for order in _cycles(g, range(4, g.n + 1, 2), budget):
+        return len(order), order
+    return None
+
+
 def find_even_hole(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
-    """Shortest-first search for a hole on an even number of vertices."""
+    """Shortest-first search for a hole on an even number of vertices, atom
+    by atom."""
     b = _start(g, guard, budget, "find_even_hole")
-    if b is None:
+    found = None if b is None else _per_atom(g, b, _first_even_hole)
+    if found is None:
         return None
-    for order in _cycles(g, range(4, g.n + 1, 2), b):
-        return Witness(
-            "even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),)
-        )
+    order = found[1]
+    return Witness("even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),))
+
+
+def _first_even_wheel(g: Graph, budget: _Budget):
+    """(rim length, (rim, hub)) of the first rim in the hole stream with an
+    outside hub of an even number >= 4 of neighbors on it, the lowest-index
+    such hub; or None.  Only a vertex of degree >= 4 can be a hub."""
+    hubs = mask_of(v for v in range(g.n) if g.degree(v) >= 4)
+    if not hubs:
+        return None
+    for order in _cycles(g, range(4, g.n), budget):
+        rim = mask_of(order)
+        for h in bits(hubs & ~rim):
+            k = (g.adj[h] & rim).bit_count()
+            if k >= 4 and k % 2 == 0:
+                return len(order), (order, h)
     return None
 
 
 def find_even_wheel(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
-    """One shortest-first pass over the holes: the first rim with an outside
-    hub of an even number >= 4 of neighbors on it, the lowest-index such hub;
-    only a vertex of degree >= 4 can be a hub."""
+    """One shortest-first pass over the holes of each atom for a rim with an
+    even hub; a graph without a vertex of degree >= 4 has none."""
     b = _start(g, guard, budget, "find_even_wheel")
-    hubs = mask_of(v for v in range(g.n) if g.degree(v) >= 4)
-    if b is None or not hubs:
+    if b is None or all(g.degree(v) < 4 for v in range(g.n)):
         return None
-    for order in _cycles(g, range(4, g.n), b):
-        rim = mask_of(order)
-        for h in bits(hubs & ~rim):
-            k = (g.adj[h] & rim).bit_count()
-            if k >= 4 and k % 2 == 0:
-                roles = {v: "rim" for v in order} | {h: "hub"}
-                detail = (("hub", h), ("cycle", order))
-                return Witness("even-wheel", tuple(sorted((h, *order))), roles, detail)
-    return None
+    found = _per_atom(g, b, _first_even_wheel)
+    if found is None:
+        return None
+    order, h = found[1]
+    roles = {v: "rim" for v in order} | {h: "hub"}
+    detail = (("hub", h), ("cycle", order))
+    return Witness("even-wheel", tuple(sorted((h, *order))), roles, detail)
 
 
 # -- three anticomplete paths (shared by theta / prism) ---------------------------
@@ -324,7 +381,7 @@ def _anticomplete_paths(
 def _shortest_three_paths(g: Graph, candidates, budget: _Budget):
     """Cap deepening over candidates(), a generator of (key, ends, pools): at
     each cap, the first candidate with anticomplete paths of length <= cap
-    gives (key, paths), else None.
+    gives (cap, (key, paths)), else None.
 
     Each candidate's first floor (its first pair's, see _floors) is computed
     once.  A candidate is searched only at caps from its first floor up, and
@@ -340,7 +397,7 @@ def _shortest_three_paths(g: Graph, candidates, budget: _Budget):
             if 0 < first <= cap:
                 paths = _anticomplete_paths(g, ends, pools, cap, budget)
                 if paths is not None:
-                    return key, paths
+                    return cap, (key, paths)
     return None
 
 
@@ -354,16 +411,9 @@ def _claw_centre(g: Graph, v: int) -> bool:
     return False
 
 
-def find_theta(
-    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
-) -> Witness | None:
-    """Two non-adjacent ends joined by three induced paths of length >= 2 with
-    pairwise disjoint, pairwise anticomplete interiors.  The paths' first
-    interior vertices are three pairwise non-adjacent neighbors of an end,
-    so only a claw centre can be one: a claw-free graph has no theta."""
-    b = _start(g, guard, budget, "find_theta")
-    if b is None:
-        return None
+def _first_theta(g: Graph, budget: _Budget):
+    """(cap, ((a, z), paths)) of the shortest-first theta, or None.  Only a
+    claw centre can be an end."""
     ends = [v for v in range(g.n) if _claw_centre(g, v)]
     full = g.full_mask()
 
@@ -374,10 +424,24 @@ def find_theta(
                     pool = full & ~mask_of((a, z))
                     yield (a, z), [(a, z)] * 3, [pool] * 3
 
-    found = _shortest_three_paths(g, candidates, b)
+    return _shortest_three_paths(g, candidates, budget)
+
+
+def find_theta(
+    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
+) -> Witness | None:
+    """Two non-adjacent ends joined by three induced paths of length >= 2 with
+    pairwise disjoint, pairwise anticomplete interiors, atom by atom.  The
+    paths' first interior vertices are three pairwise non-adjacent neighbors
+    of an end, so only a claw centre can be one: a claw-free graph has no
+    theta."""
+    b = _start(g, guard, budget, "find_theta")
+    if b is None or not any(_claw_centre(g, v) for v in range(g.n)):
+        return None
+    found = _per_atom(g, b, _first_theta)
     if found is None:
         return None
-    (a, z), (p1, p2, p3) = found
+    (a, z), (p1, p2, p3) = found[1]
     verts = set(p1) | set(p2) | set(p3)
     roles = {v: "interior" for v in verts}
     roles[a] = "end"
@@ -400,14 +464,10 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def find_prism(
-    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
-) -> Witness | None:
-    """Two disjoint triangles joined by three paths in the line-graph-of-theta
-    pattern: paths pairwise anticomplete apart from their own triangle corners."""
-    b = _start(g, guard, budget, "find_prism")
-    if b is None:
-        return None
+def _first_prism(g: Graph, budget: _Budget):
+    """(cap, ((t1, t2, matched), paths)) of the shortest-first prism, or None:
+    t1 before t2 in _triangles order, matched the permutation of t2 whose
+    corners the paths reach."""
     tris = _triangles(g)
     tri_pairs = []
     for i in range(len(tris)):
@@ -430,12 +490,22 @@ def find_prism(
                 # corners may touch only their matched partner across the triangles
                 if any(g.adj[u] & t2m & ~(1 << w) for u, w in ends):
                     continue
-                yield (t1, matched), ends, [full & ~(ban1[u] | ban2[w]) for u, w in ends]
+                yield (t1, t2, matched), ends, [full & ~(ban1[u] | ban2[w]) for u, w in ends]
 
-    found = _shortest_three_paths(g, candidates, b)
+    return _shortest_three_paths(g, candidates, budget)
+
+
+def find_prism(
+    g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
+) -> Witness | None:
+    """Two disjoint triangles joined by three paths in the line-graph-of-theta
+    pattern: paths pairwise anticomplete apart from their own triangle
+    corners, atom by atom."""
+    b = _start(g, guard, budget, "find_prism")
+    found = None if b is None else _per_atom(g, b, _first_prism)
     if found is None:
         return None
-    (t1, t2), (p1, p2, p3) = found
+    (t1, _, t2), (p1, p2, p3) = found[1]
     verts = set(t1) | set(t2) | set(p1) | set(p2) | set(p3)
     roles = {v: "interior" for v in verts}
     for v in t1:

@@ -48,12 +48,13 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_edges")
+    __slots__ = ("n", "adj", "_edges", "_atoms")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
         self.adj = adj
         self._edges: tuple[tuple[int, int], ...] | None = None
+        self._atoms: tuple[int, ...] | None = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -220,9 +221,91 @@ def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
     return not (g.neighborhood(xm) & xm)
 
 
-def is_clique(g: Graph, xs: Iterable[int]) -> bool:
-    xm = check_vertex_set(g, xs)
+def is_clique(g: Graph, xs: Iterable[int] | int) -> bool:
+    """Every pair adjacent; xs a vertex collection or a mask of g's vertices."""
+    xm = xs if isinstance(xs, int) else check_vertex_set(g, xs)
     return all((g.adj[v] & xm) == xm & ~(1 << v) for v in bits(xm))
+
+
+# -- clique-cutset atoms ----------------------------------------------------
+
+
+def atoms(g: Graph) -> tuple[int, ...]:
+    """The atoms of g as vertex masks: its maximal connected induced
+    subgraphs without a clique cutset, the empty set counting as a clique.
+    Any induced subgraph without a clique cutset (a hole, a wheel, a theta,
+    a prism) lies inside one atom, and each atom meets the union of the
+    atoms after it in a clique that lies inside one of them.  Computed once
+    per graph.
+
+    MCS-M numbers the vertices from the last to the first, each time the
+    unnumbered vertex of highest label, and every unnumbered vertex that a
+    path through unnumbered vertices of lower labels joins to it gains one
+    label and becomes its neighbor in a minimal triangulation (Berry,
+    Blair, Heggernes, Peyton, "Maximum cardinality search for computing
+    minimal triangulations of graphs", Algorithmica 39, 2004).  A vertex
+    whose label is no higher than that of the vertex numbered just before it
+    generates a minimal separator: its triangulation neighbors numbered
+    earlier.  In elimination order, the reverse of the numbering, each
+    generator whose separator is a clique of g cuts the component of what is
+    left that holds it, plus the separator, off as one atom (Berry,
+    Pogorelcnik, Simonet, "An introduction to clique minimal separator
+    decomposition", Algorithms 3, 2010)."""
+    if g._atoms is not None:
+        return g._atoms
+    adj = g.adj
+    unnumbered = g.full_mask()
+    levels = [unnumbered]  # levels[w]: the unnumbered vertices of label w
+    earlier = [0] * g.n  # each vertex's triangulation neighbors numbered before it
+    order = []
+    generators = 0
+    last = -1
+    for _ in range(g.n):
+        while not levels[-1]:
+            levels.pop()
+        label = len(levels) - 1
+        xbit = levels[label] & -levels[label]
+        levels[label] ^= xbit
+        unnumbered ^= xbit
+        if label <= last:
+            generators |= xbit
+        last = label
+        order.append(xbit.bit_length() - 1)
+        # reached: what x gets to through the labels below the one at hand;
+        # once every vertex of a higher label is next to it, each of them
+        # gains a label whatever else it reaches, so it stops growing
+        reached, around, below, above = xbit, adj[order[-1]], 0, unnumbered
+        raised = []
+        for level in levels:
+            hit = around & level
+            raised.append(hit)
+            below |= level
+            above ^= level
+            front = hit
+            while front and above & ~around:
+                reached |= front
+                around |= g.neighborhood(front)
+                front = around & below & ~reached
+        if raised[-1]:
+            levels.append(0)
+        for w, hit in enumerate(raised):
+            if hit:
+                levels[w] ^= hit
+                levels[w + 1] |= hit
+                for y in bits(hit):
+                    earlier[y] |= xbit
+    left = g.full_mask()
+    out = []
+    for x in reversed(order):
+        sep = earlier[x]
+        if generators >> x & 1 and is_clique(g, sep):
+            part = g.component_mask(x, left & ~sep)
+            out.append(part | sep)
+            left ^= part
+    if left:
+        out.append(left)
+    g._atoms = tuple(out)
+    return g._atoms
 
 
 # -- constructions --------------------------------------------------------

@@ -5,7 +5,10 @@ The exact solver runs a subset dynamic program over elimination prefixes:
 the best achievable width of a prefix S extends by any next vertex v at cost
 |reach(S, v)|, the set of outside vertices v sees directly or through S.
 Bound-sandwich shortcuts and pruning by the heuristic upper bound keep the
-table small on the sparse inputs this package cares about.
+table small on the sparse inputs this package cares about.  When the
+sandwich does not close, a graph with a clique cutset is solved atom by atom
+(graph_core.atoms) and the atoms' decompositions are glued along their
+clique separators; the width is the largest over the atoms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .detectors import max_clique
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, bits, mask_of, text_int
+from .graph_core import Graph, atoms, bits, induced_subgraph, mask_of, text_int
 
 DEFAULT_EXACT_GUARD = 22
 
@@ -138,10 +141,47 @@ def tw_lower(g: Graph) -> int:
     return deg
 
 
+def _glue(parts: tuple[int, ...], tds: list[TreeDecomposition]) -> TreeDecomposition:
+    """One decomposition of a graph from decompositions of its atoms, each in
+    the atom's own labels, the atoms in the order atoms() gives them.  Each
+    atom meets the union of the later ones in a clique S that lies inside
+    one of them; a bag holding S on each side is joined by a tree edge, so
+    the bags holding any vertex stay connected."""
+    bags: list[int] = []
+    edges = []
+    starts = []
+    for part, td in zip(parts, tds):
+        old = list(bits(part))
+        k = len(bags)
+        starts.append(k)
+        bags += [mask_of(old[v] for v in bag) for bag in td.bags]
+        edges += [(k + a, k + b) for a, b in td.edges]
+    starts.append(len(bags))
+
+    def holding(i: int, sep: int) -> int:
+        return next(b for b in range(starts[i], starts[i + 1]) if bags[b] & sep == sep)
+
+    later = 0
+    for i in reversed(range(len(parts))):
+        if later:
+            sep = parts[i] & later
+            j = next(j for j in range(i + 1, len(parts)) if parts[j] & sep == sep)
+            edges.append((holding(i, sep), holding(j, sep)))
+        later |= parts[i]
+    return TreeDecomposition(
+        tuple(frozenset(bits(b)) for b in bags), tuple(sorted(tuple(sorted(e)) for e in edges))
+    )
+
+
 def treewidth_exact(
     g: Graph, guard: int = DEFAULT_EXACT_GUARD
 ) -> tuple[int, TreeDecomposition]:
-    """Optimal width with a certifying decomposition."""
+    """Optimal width with a certifying decomposition.  When the bound
+    sandwich does not close and g has a clique cutset, each atom is solved
+    on its own and the decompositions are glued along the clique
+    separators: clique separators are safe for treewidth (Bodlaender and
+    Koster, "Safe separators for treewidth", Discrete Math. 306, 2006), so
+    the width is the largest over the atoms.  The guard applies to g."""
     n = g.n
     if n > guard:
         raise ScaleLimit(f"treewidth_exact: {n} vertices exceeds the guard of {guard}")
@@ -151,6 +191,10 @@ def treewidth_exact(
     ub, td = tw_upper(g)
     if lb >= ub:
         return ub, td
+    parts = atoms(g)
+    if len(parts) > 1:
+        solved = [treewidth_exact(induced_subgraph(g, bits(p))[0], guard) for p in parts]
+        return max(w for w, _ in solved), _glue(parts, [td for _, td in solved])
     full = g.full_mask()
     cur: dict[int, int] = {0: -1}
     parent: dict[int, int] = {}

@@ -20,6 +20,7 @@ from obslab.generators import (
 from obslab.graph_core import Digraph, Graph, line_graph, set_relation
 from obslab.rng import SplitMix
 
+from .atom_oracles import whole_graph
 from .conftest import graphs
 from .subset_oracles import even_hole_by_subsets
 
@@ -176,10 +177,12 @@ def _wheel_free_clique_sum():
 
 
 # finder, graph (the t=4 obstruction of SplitMix(1)'s first seed, or the
-# clique sum below), whether it holds the structure, then the Graph.bfs_dist
-# calls made and search nodes needed: first by the finder, which reads each
-# hole once, then by the per-root cycle DFS it replaced, which read each hole
-# in both directions (tests/hole_oracles.py)
+# clique sum above), whether it holds the structure, then the Graph.bfs_dist
+# calls made and search nodes needed: first by the finder on the whole graph,
+# which reads each hole once, then by the per-root cycle DFS it replaced,
+# which read each hole in both directions (tests/hole_oracles.py).  The
+# obstruction is one atom; the clique sum is searched whole here, as it was
+# before the finders went atom by atom.
 _HOLE_WORK = [
     (det.find_even_wheel, "clique_sum", False, 15, 2_620, 29, 8_100),  # n=29
     (det.find_even_hole, "line_of_wall", True, 60, 1_743, 123, 5_018),  # n=123
@@ -195,11 +198,40 @@ def test_hole_stream_work_is_pinned(
     else:
         g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
     made = _counted_bfs(monkeypatch)
-    w = finder(g, guard=128, budget=nodes)
-    assert (w is not None) == found and (w is None or det.validate_witness(g, w))
-    assert len(made) == calls < old_calls and 2 * nodes <= old_nodes
-    with pytest.raises(ScaleLimit):
-        finder(g, guard=128, budget=nodes - 1)
+    with whole_graph():
+        w = finder(g, guard=128, budget=nodes)
+        assert (w is not None) == found and (w is None or det.validate_witness(g, w))
+        assert len(made) == calls < old_calls and 2 * nodes <= old_nodes
+        with pytest.raises(ScaleLimit):
+            finder(g, guard=128, budget=nodes - 1)
+
+
+# finder, then the Graph.bfs_dist calls made and search nodes needed on the
+# clique sum above: atom by atom, then on the whole graph.  Its atoms are
+# C5s, C7s and triangles.  The triangles are cliques and are not searched;
+# a hole has no claw centre, no two disjoint triangles and no vertex of
+# degree >= 4, so only the even-hole search reads a hole.
+_ATOM_WORK = [
+    (det.find_even_hole, 5, 16, 15, 1_360),
+    (det.find_theta, 0, 0, 27, 8_160),
+    (det.find_prism, 0, 0, 43, 0),
+    (det.find_even_wheel, 0, 0, 15, 2_620),
+]
+
+
+@pytest.mark.parametrize("finder,calls,nodes,whole_calls,whole_nodes", _ATOM_WORK)
+def test_atom_route_work_is_pinned(finder, calls, nodes, whole_calls, whole_nodes, monkeypatch):
+    g = _wheel_free_clique_sum()
+    made = _counted_bfs(monkeypatch)
+    with whole_graph():
+        assert finder(g, guard=128, budget=whole_nodes) is None
+    assert len(made) == whole_calls
+    made.clear()
+    assert finder(g, guard=128, budget=nodes) is None
+    assert len(made) == calls
+    if nodes:
+        with pytest.raises(ScaleLimit):
+            finder(g, guard=128, budget=nodes - 1)
 
 
 def test_even_wheel_cases():
@@ -264,10 +296,32 @@ def _clique_sum(pieces):
 
 
 def test_even_wheel_absence_is_one_pass():
-    # one pass over the holes certifies absence in 2,620 search nodes
+    # no atom of the clique sum has a vertex of degree >= 4, so absence is
+    # certified without a search node; on the whole graph one pass over the
+    # holes takes 2,620 (pinned above)
     g = _wheel_free_clique_sum()
     assert g.n == 29 and det.find_hole(g) is not None
-    assert det.find_even_wheel(g, budget=10_000) is None
+    assert det.find_even_wheel(g, budget=0) is None
+    with whole_graph():
+        assert det.find_even_wheel(g, budget=10_000) is None
+
+
+def test_prologues_compute_no_atoms(monkeypatch):
+    # chordality, walls' maximum degree of 3 and line graphs' lack of a claw
+    # centre answer before any atom is computed, and the guard still applies
+    # to the whole graph
+    computed = []
+    monkeypatch.setattr(det, "atoms", lambda g: computed.append(g) or (g.full_mask(),))
+    for seed in range(3):
+        g = k_tree_random(3, 60, seed)
+        for finder in (det.find_even_hole, det.find_even_wheel, det.find_theta, det.find_prism):
+            assert finder(g, budget=0) is None
+    assert det.find_even_wheel(wall(6), guard=100, budget=0) is None
+    g = basic_obstruction(3, "line_of_wall", seed=SplitMix(29).next_u64())
+    assert det.find_theta(g, guard=128, budget=0) is None
+    with pytest.raises(ScaleLimit):
+        det.find_even_hole(cycle(70))
+    assert computed == []
 
 
 def test_even_wheel_needs_a_hub_of_degree_four():
