@@ -76,7 +76,9 @@ _FAMILIES = {
     "obstruction": (2, lambda p, a: gen.basic_obstruction(*p, seed=a.seed)),
     "planted-phantom": (
         3,
-        lambda p, a: gen.plant_phantom(gen.complete(p[0]), *p[1:], seed=a.seed, density=a.density),
+        lambda p, a: gen.plant_phantom(
+            gen.complete(p[0]), *p[1:], seed=a.seed, density=a.density or "minimal"
+        ),
     ),
     "planted-crystal": (2, lambda p, a: gen.plant_crystal(*p, noise_seed=a.seed)),
 }
@@ -89,6 +91,10 @@ def cmd_gen(args) -> int:
         raise InvalidInput(f"family {name!r} is randomized: --seed is mandatory")
     if name not in _FAMILIES:
         raise InvalidInput(f"unknown family {name!r}")
+    if args.density is not None and name != "planted-phantom":
+        raise InvalidInput("--density applies only to planted-phantom")
+    if args.format == "edgelist" and name.startswith("planted-"):
+        raise InvalidInput(f"family {name!r} plants a structure: it has no edge-list form")
     count, build = _FAMILIES[name]
     if len(params) % count if name == "crystal" else len(params) != count:
         per = " per arm" if name == "crystal" else ""
@@ -153,6 +159,10 @@ def cmd_tw(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.clear and args.kind != "crystal":
+        raise InvalidInput("--clear applies only to crystal")
+    if args.mirrored is not None and args.kind != "kaleidoscope":
+        raise InvalidInput("--mirrored applies only to kaleidoscope")
     try:
         obj = json.loads(sys.stdin.read())
     except json.JSONDecodeError as exc:
@@ -385,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("--seed", type=_flag_int, default=None)
-    p.add_argument("--density", choices=("minimal", "coned"), default="minimal")
+    p.add_argument("--density", choices=("minimal", "coned"), default=None)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_gen)
 

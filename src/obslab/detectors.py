@@ -21,7 +21,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import (
@@ -295,7 +295,7 @@ def _to_dst(
 
 
 def _floors(
-    g: Graph, ends: list[tuple[int, int]], pools: list[int], budget: _Budget
+    g: Graph, ends: Sequence[tuple[int, int]], pools: Sequence[int], budget: _Budget
 ) -> Iterator[int]:
     """For each distinct (pair, pool) of zip(ends, pools), in order and
     computed lazily: a lower bound on the longest of the induced paths asked
@@ -354,8 +354,8 @@ def _induced_paths(
 
 def _anticomplete_paths(
     g: Graph,
-    ends: list[tuple[int, int]],
-    pools: list[int],
+    ends: Sequence[tuple[int, int]],
+    pools: Sequence[int],
     cap: int,
     budget: _Budget,
 ) -> tuple[tuple[int, ...], ...] | None:
@@ -378,22 +378,22 @@ def _anticomplete_paths(
     return None
 
 
-def _shortest_three_paths(g: Graph, candidates, budget: _Budget):
-    """Cap deepening over candidates(), a generator of (key, ends, pools): at
-    each cap, the first candidate with anticomplete paths of length <= cap
-    gives (cap, (key, paths)), else None.
+def _shortest_three_paths(g: Graph, candidates: list, budget: _Budget):
+    """Cap deepening over candidates, a list of (key, ends, pools) built once
+    per search: at each cap, the first candidate with anticomplete paths of
+    length <= cap gives (cap, (key, paths)), else None.
 
     Each candidate's first floor (its first pair's, see _floors) is computed
     once.  A candidate is searched only at caps from its first floor up, and
     deepening starts at the smallest first floor, since no cap below it can
     succeed.  Every candidate was searched exhaustively at cap - 1, so the
     longest path found has length exactly cap: shortest first."""
-    firsts = [next(_floors(g, ends, pools, budget)) for _, ends, pools in candidates()]
+    firsts = [next(_floors(g, ends, pools, budget)) for _, ends, pools in candidates]
     first_cap = min((f for f in firsts if f > 0), default=None)
     if first_cap is None:
         return None
     for cap in range(first_cap, g.n + 1):
-        for first, (key, ends, pools) in zip(firsts, candidates()):
+        for first, (key, ends, pools) in zip(firsts, candidates):
             if 0 < first <= cap:
                 paths = _anticomplete_paths(g, ends, pools, cap, budget)
                 if paths is not None:
@@ -416,14 +416,12 @@ def _first_theta(g: Graph, budget: _Budget):
     claw centre can be an end."""
     ends = [v for v in range(g.n) if _claw_centre(g, v)]
     full = g.full_mask()
-
-    def candidates():
-        for a in ends:
-            for z in ends:
-                if z > a and not g.has_edge(a, z):
-                    pool = full & ~mask_of((a, z))
-                    yield (a, z), [(a, z)] * 3, [pool] * 3
-
+    candidates = [
+        ((a, z), ((a, z),) * 3, (full & ~mask_of((a, z)),) * 3)
+        for a in ends
+        for z in ends
+        if z > a and not g.has_edge(a, z)
+    ]
     return _shortest_three_paths(g, candidates, budget)
 
 
@@ -469,29 +467,24 @@ def _first_prism(g: Graph, budget: _Budget):
     t1 before t2 in _triangles order, matched the permutation of t2 whose
     corners the paths reach."""
     tris = _triangles(g)
-    tri_pairs = []
-    for i in range(len(tris)):
-        t1m = mask_of(tris[i])
-        for j in range(i + 1, len(tris)):
-            if not t1m & mask_of(tris[j]):
-                tri_pairs.append((tris[i], tris[j]))
+    # per corner, the neighborhood of the other two corners of its triangle
+    others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
     full = g.full_mask()
-
-    def candidates():
-        for t1, t2 in tri_pairs:
-            t1m, t2m = mask_of(t1), mask_of(t2)
-            # interiors avoid all six corners and every other corner's neighborhood
-            ban1 = {u: t1m | t2m | g.neighborhood(t1m & ~(1 << u)) for u in t1}
-            ban2 = {w: g.neighborhood(t2m & ~(1 << w)) for w in t2}
+    candidates = []
+    for i, t1 in enumerate(tris):
+        t1m = mask_of(t1)
+        for j in range(i + 1, len(tris)):
+            t2, t2m = tris[j], mask_of(tris[j])
+            if t1m & t2m:
+                continue
             for matched in permutations(t2):
-                # lists, not tuple() of an iterator: such tuples are allocated
-                # afresh and, once freed, fill the interpreter's tuple free list
-                ends = list(zip(t1, matched))
+                ends = tuple(zip(t1, matched))
                 # corners may touch only their matched partner across the triangles
                 if any(g.adj[u] & t2m & ~(1 << w) for u, w in ends):
                     continue
-                yield (t1, t2, matched), ends, [full & ~(ban1[u] | ban2[w]) for u, w in ends]
-
+                # interiors avoid all six corners and every other corner's neighborhood
+                pools = tuple(full & ~(t1m | t2m | others[i][u] | others[j][w]) for u, w in ends)
+                candidates.append(((t1, t2, matched), ends, pools))
     return _shortest_three_paths(g, candidates, budget)
 
 

@@ -21,6 +21,7 @@ from .graph_core import (
     check_vertex_count,
     check_vertex_set,
     induced_subgraph,
+    is_clique,
     line_graph,
     mask_of,
     subdivide,
@@ -256,8 +257,7 @@ def k_tree_enumerate(k: int, n: int):
         seen: set[tuple[int, int]] = set()
         for g in level:
             for clique in itertools.combinations(range(g.n), k):
-                cm = mask_of(clique)
-                if not all((g.adj[u] & cm) == cm & ~(1 << u) for u in clique):
+                if not is_clique(g, mask_of(clique)):
                     continue
                 cand = Graph.from_edges(g.n + 1, list(g.edges()) + [(u, g.n) for u in clique])
                 key = canonical_key(cand)

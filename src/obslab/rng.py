@@ -33,16 +33,6 @@ class SplitMix:
         """True with probability num/den."""
         return self.below(den) < num
 
-    def sample(self, items, k: int):
-        """k distinct items, order-stable partial Fisher-Yates."""
-        pool = list(items)
-        if k > len(pool):
-            raise ValueError("sample larger than population")
-        for i in range(k):
-            j = i + self.below(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
     def shuffle(self, items):
         pool = list(items)
         for i in range(len(pool) - 1, 0, -1):

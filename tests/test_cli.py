@@ -298,6 +298,14 @@ def _kaleidoscope_payload(zset):
         (["gen", "cycle", "1_0"], ""),
         # rejected by the vertex cap before any edge is listed
         (["gen", "complete", "10001"], ""),
+        # a flag that does not apply to the command is refused, not dropped
+        (["validate", "phantom", "--clear"], _phantom_payload()),
+        (["validate", "phantom", "--mirrored", "2"], _phantom_payload()),
+        (["validate", "kaleidoscope", "--clear"], _kaleidoscope_payload([4])),
+        (["validate", "crystal", "--mirrored", "1"], _crystal_payload()),
+        (["gen", "complete", "3", "--density", "coned"], ""),
+        (["gen", "planted-crystal", "1", "1", "--seed", "2", "--format", "edgelist"], ""),
+        (["gen", "planted-phantom", "2", "2", "1", "--seed", "2", "--format", "edgelist"], ""),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):
@@ -332,6 +340,18 @@ def test_strict_reading_keeps_valid_input():
     payload = json.dumps(_kaleidoscope_payload([4]))
     code, out = run_cli(["validate", "kaleidoscope", "--mirrored", "1"], payload)
     assert code == 2 and json.loads(out)["clause"] == "M3"
+
+
+def test_gen_density_defaults_to_minimal():
+    argv = ["gen", "planted-phantom", "2", "2", "1", "--seed", "3"]
+    code, out = run_cli(argv)
+    assert code == 0 and run_cli([*argv, "--density", "minimal"]) == (0, out)
+    code, out = run_cli([*argv, "--density", "coned"])
+    host, p = plant_phantom(complete(2), 2, 1, seed=3, density="coned")
+    assert code == 0 and json.loads(out) == {
+        "graph": json.loads(dumps_graph(host)),
+        "phantom": phantom_to_json_obj(p),
+    }
 
 
 @pytest.mark.parametrize(
