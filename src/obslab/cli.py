@@ -114,8 +114,9 @@ def cmd_gen(args) -> int:
 # -- detect ---------------------------------------------------------------------
 
 
-# structure -> finder from the graph and the parsed arguments; the
-# class-membership report also says whether the graph is a member
+# structure -> finder from the graph and the parsed arguments, with the
+# defaults of _DETECT_FLAGS applied; the class-membership report also says
+# whether the graph is a member
 _STRUCTURES = {
     "hole": lambda g, a: det.find_hole(g),
     "even-hole": lambda g, a: det.find_even_hole(g, a.guard),
@@ -128,7 +129,21 @@ _STRUCTURES = {
 }
 
 
+# flag -> (its default, the structures that read it); the others refuse it
+_DETECT_FLAGS = {
+    "c": (3, ("clique",)),
+    "s": (2, ("biclique",)),
+    "t": (None, ("class-membership",)),
+    "guard": (det.DEFAULT_GUARD, tuple(s for s in _STRUCTURES if s != "hole")),
+}
+
+
 def cmd_detect(args) -> int:
+    for flag, (default, readers) in _DETECT_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif args.structure not in readers:
+            raise InvalidInput(f"detect {args.structure} does not take --{flag}")
     g = _read_graph(args)
     w = _STRUCTURES[args.structure](g, args)
     report = {"found": w is not None}
@@ -144,13 +159,16 @@ def cmd_detect(args) -> int:
 
 
 def cmd_tw(args) -> int:
+    if args.bounds and args.exact_guard is not None:
+        raise InvalidInput("--exact-guard does not combine with --bounds")
     g = _read_graph(args)
     if args.bounds:
         lo = tw.tw_lower(g)
         hi, _ = tw.tw_upper(g)
         _emit({"lower": lo, "upper": hi})
         return EXIT_OK
-    width, td = tw.treewidth_exact(g, guard=args.exact_guard)
+    guard = tw.DEFAULT_EXACT_GUARD if args.exact_guard is None else args.exact_guard
+    width, td = tw.treewidth_exact(g, guard=guard)
     sys.stdout.write(tw.to_pace(td, g.n))
     return EXIT_OK
 
@@ -312,19 +330,21 @@ def _emit_violation(out: "ext.HypothesisViolation") -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-# verify flag -> suite parameter; a suite gets the flags its signature names
-# and that the user set, and its own defaults for the rest
+# verify flag -> suite parameter; a suite gets the flags the user set, which
+# its signature must name, and its own defaults for the rest
 _VERIFY_FLAGS = {"t": "t_max", "n": "n_max", "c": "c", "s": "s", "samples": "samples", "seed": "seed"}
 
 
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     params = inspect.signature(suite).parameters
-    kwargs = {
-        param: getattr(args, flag)
-        for flag, param in _VERIFY_FLAGS.items()
-        if param in params and getattr(args, flag) is not None
-    }
+    kwargs = {}
+    for flag, param in _VERIFY_FLAGS.items():
+        if getattr(args, flag) is None:
+            continue
+        if param not in params:
+            raise InvalidInput(f"verify {args.suite} does not take --{flag}")
+        kwargs[param] = getattr(args, flag)
     t0 = time.perf_counter()
     records = suite(**kwargs)
     elapsed = time.perf_counter() - t0
@@ -401,16 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="search the stdin graph for a structure")
     p.add_argument("structure", choices=tuple(_STRUCTURES))
-    p.add_argument("--c", type=_flag_int, default=3)
-    p.add_argument("--s", type=_flag_int, default=2)
-    p.add_argument("--t", type=_flag_int, default=None)
-    p.add_argument("--guard", type=_flag_int, default=det.DEFAULT_GUARD)
+    for flag in _DETECT_FLAGS:
+        p.add_argument(f"--{flag}", type=_flag_int)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("tw", help="treewidth of the stdin graph")
     p.add_argument("--bounds", action="store_true")
-    p.add_argument("--exact-guard", type=_flag_int, default=tw.DEFAULT_EXACT_GUARD)
+    p.add_argument("--exact-guard", type=_flag_int)
     p.add_argument("--format", choices=("json", "edgelist"), default="json")
     p.set_defaults(func=cmd_tw)
 

@@ -4,10 +4,11 @@ Every searcher is exact: it returns a witness that re-validates against the
 structure's definition, or certifies absence by exhausting its search space.
 The hole-based structures (even hole, even wheel, theta, prism) have no
 clique cutset, so each lies inside one atom of the clique-cutset
-decomposition (graph_core.atoms), and their finders search atom by atom: the
-atom list is the certificate of absence, and a chordal graph, certified by a
-perfect elimination order before any atom is computed, is the case where
-every atom is a clique.  Inputs beyond the vertex guard (or searches beyond
+decomposition (graph_core.atoms), and their finders search atom by atom,
+each search inside g restricted to the atom's vertex mask: the atom list is
+the certificate of absence, and a chordal graph, certified by a perfect
+elimination order before any atom is computed, is the case where every atom
+is a clique.  Inputs beyond the vertex guard (or searches beyond
 the node budget) raise ScaleLimit rather than answering wrongly.
 
 Determinism: all searches iterate vertices in increasing index order and, for
@@ -30,7 +31,6 @@ from .graph_core import (
     atoms,
     bits,
     check_vertex_set,
-    induced_subgraph,
     is_anticomplete_to,
     is_clique,
     is_stable_set,
@@ -50,8 +50,8 @@ def _check_scale(g: Graph, guard: int, what: str) -> None:
 class _Budget:
     """Search nodes left for one finder call, and that call's distance memo:
     the graph does not change during the call, so the distances to a vertex
-    inside a mask are computed once, however many candidates, roots and
-    length caps ask _to_dst for them.  Each is kept as a 16-bit array, 2
+    inside a mask are computed once, however many atoms, candidates, roots
+    and length caps ask _to_dst for them.  Each is kept as a 16-bit array, 2
     bytes a vertex against a list's 8; no distance reaches MAX_VERTICES."""
 
     __slots__ = ("left", "what", "dists")
@@ -175,48 +175,35 @@ def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
     return _Budget(budget, what)
 
 
-def _lift(data, old: list[int]):
-    """A vertex, or nested tuples of vertices, of an induced subgraph in the
-    labels of the graph it was induced from."""
-    if isinstance(data, tuple):
-        return tuple(_lift(x, old) for x in data)
-    return old[data]
-
-
 def _per_atom(g: Graph, budget: _Budget, search):
-    """search(h, budget) on every atom h of g that is not a clique, as an
-    order-preserving induced subgraph: the smallest (measure, data) found,
-    data in g's labels, or None.  The searched structures have no clique
-    cutset, so each lies inside one atom, and the smallest key in the
-    search's own order is the one the whole graph would give first.  An atom
-    that is a clique has no hole; a graph that is one atom is searched as it
-    is.  One budget covers every atom."""
-    parts = atoms(g)
-    if len(parts) == 1:
-        return search(g, budget)
+    """search(g, part, budget) on the vertex mask part of every atom of g
+    that is not a clique: the smallest (measure, data) found, or None.  The
+    searched structures have no clique cutset, so each lies inside one atom,
+    and the smallest key in the search's own order is the one the whole
+    graph would give first.  An atom that is a clique has no hole.  One
+    budget and one distance memo cover every atom: a distance inside a mask
+    depends only on g, the target and the mask."""
     best = None
-    for part in parts:
-        if is_clique(g, part):
-            continue
-        h, _ = induced_subgraph(g, bits(part))
-        budget.dists.clear()  # the memo is keyed by h's labels
-        found = search(h, budget)
-        if found is not None:
-            found = (found[0], _lift(found[1], list(bits(part))))
-            if best is None or found < best:
+    for part in atoms(g):
+        if not is_clique(g, part):
+            found = search(g, part, budget)
+            if found is not None and (best is None or found < best):
                 best = found
     return best
 
 
-def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple[int, ...]]:
-    """Induced cycles of g, each length in turn, each read once and in
-    deterministic order: as (root, a, ..., b) with root the lowest vertex
-    and a < b its two neighbors on the cycle.  a, ..., b, root is an induced
-    path through vertices above root that avoids root's neighbors below a,
-    so a is never root's highest neighbor."""
+def _cycles(
+    g: Graph, part: int, lengths: Iterable[int], budget: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Induced cycles of g inside the vertex mask part, each length in turn,
+    each read once and in deterministic order: as (root, a, ..., b) with
+    root the lowest vertex and a < b its two neighbors on the cycle.
+    a, ..., b, root is an induced path through vertices of part above root
+    that avoids root's neighbors below a, so a is never root's highest
+    neighbor."""
     for target in lengths:
-        for root in range(g.n):
-            above = g.full_mask() >> (root + 1) << (root + 1)
+        for root in bits(part):
+            above = part >> (root + 1) << (root + 1)
             ups = g.adj[root] & above
             for a in list(bits(ups))[:-1]:
                 pool = above & ~(ups & ((1 << a) - 1))
@@ -225,9 +212,9 @@ def _cycles(g: Graph, lengths: Iterable[int], budget: _Budget) -> Iterator[tuple
                         yield (root, *p[:-1])
 
 
-def _first_even_hole(g: Graph, budget: _Budget):
-    """(length, cycle) of the shortest-first even hole, or None."""
-    for order in _cycles(g, range(4, g.n + 1, 2), budget):
+def _first_even_hole(g: Graph, part: int, budget: _Budget):
+    """(length, cycle) of the shortest-first even hole inside part, or None."""
+    for order in _cycles(g, part, range(4, part.bit_count() + 1, 2), budget):
         return len(order), order
     return None
 
@@ -245,14 +232,15 @@ def find_even_hole(
     return Witness("even-hole", tuple(sorted(order)), {v: "hole" for v in order}, (("cycle", order),))
 
 
-def _first_even_wheel(g: Graph, budget: _Budget):
-    """(rim length, (rim, hub)) of the first rim in the hole stream with an
-    outside hub of an even number >= 4 of neighbors on it, the lowest-index
-    such hub; or None.  Only a vertex of degree >= 4 can be a hub."""
-    hubs = mask_of(v for v in range(g.n) if g.degree(v) >= 4)
+def _first_even_wheel(g: Graph, part: int, budget: _Budget):
+    """(rim length, (rim, hub)) of the first rim in part's hole stream with
+    an outside hub in part of an even number >= 4 of neighbors on it, the
+    lowest-index such hub; or None.  Only a vertex of degree >= 4 inside
+    part can be a hub."""
+    hubs = mask_of(v for v in bits(part) if (g.adj[v] & part).bit_count() >= 4)
     if not hubs:
         return None
-    for order in _cycles(g, range(4, g.n), budget):
+    for order in _cycles(g, part, range(4, part.bit_count()), budget):
         rim = mask_of(order)
         for h in bits(hubs & ~rim):
             k = (g.adj[h] & rim).bit_count()
@@ -378,10 +366,12 @@ def _anticomplete_paths(
     return None
 
 
-def _shortest_three_paths(g: Graph, candidates: list, budget: _Budget):
+def _shortest_three_paths(g: Graph, part: int, candidates: list, budget: _Budget):
     """Cap deepening over candidates, a list of (key, ends, pools) built once
-    per search: at each cap, the first candidate with anticomplete paths of
-    length <= cap gives (cap, (key, paths)), else None.
+    per search of the vertex mask part, every pool inside it: at each cap,
+    the first candidate with anticomplete paths of length <= cap gives
+    (cap, (key, paths)), else None.  Caps stop at the size of part, which
+    no path inside it exceeds.
 
     Each candidate's first floor (its first pair's, see _floors) is computed
     once.  A candidate is searched only at caps from its first floor up, and
@@ -392,7 +382,7 @@ def _shortest_three_paths(g: Graph, candidates: list, budget: _Budget):
     first_cap = min((f for f in firsts if f > 0), default=None)
     if first_cap is None:
         return None
-    for cap in range(first_cap, g.n + 1):
+    for cap in range(first_cap, part.bit_count() + 1):
         for first, (key, ends, pools) in zip(firsts, candidates):
             if 0 < first <= cap:
                 paths = _anticomplete_paths(g, ends, pools, cap, budget)
@@ -401,9 +391,9 @@ def _shortest_three_paths(g: Graph, candidates: list, budget: _Budget):
     return None
 
 
-def _claw_centre(g: Graph, v: int) -> bool:
-    """Whether v has three pairwise non-adjacent neighbors."""
-    nb = g.adj[v]
+def _claw_centre(g: Graph, v: int, part: int) -> bool:
+    """Whether v has three pairwise non-adjacent neighbors inside part."""
+    nb = g.adj[v] & part
     for x in bits(nb):
         rest = nb & ~g.adj[x] & ~(1 << x)
         if any(rest & ~g.adj[y] & ~(1 << y) for y in bits(rest)):
@@ -411,18 +401,17 @@ def _claw_centre(g: Graph, v: int) -> bool:
     return False
 
 
-def _first_theta(g: Graph, budget: _Budget):
-    """(cap, ((a, z), paths)) of the shortest-first theta, or None.  Only a
-    claw centre can be an end."""
-    ends = [v for v in range(g.n) if _claw_centre(g, v)]
-    full = g.full_mask()
+def _first_theta(g: Graph, part: int, budget: _Budget):
+    """(cap, ((a, z), paths)) of the shortest-first theta inside part, or
+    None.  Only a claw centre of part can be an end."""
+    ends = [v for v in bits(part) if _claw_centre(g, v, part)]
     candidates = [
-        ((a, z), ((a, z),) * 3, (full & ~mask_of((a, z)),) * 3)
+        ((a, z), ((a, z),) * 3, (part & ~mask_of((a, z)),) * 3)
         for a in ends
         for z in ends
         if z > a and not g.has_edge(a, z)
     ]
-    return _shortest_three_paths(g, candidates, budget)
+    return _shortest_three_paths(g, part, candidates, budget)
 
 
 def find_theta(
@@ -434,7 +423,7 @@ def find_theta(
     of an end, so only a claw centre can be one: a claw-free graph has no
     theta."""
     b = _start(g, guard, budget, "find_theta")
-    if b is None or not any(_claw_centre(g, v) for v in range(g.n)):
+    if b is None or not any(_claw_centre(g, v, g.full_mask()) for v in range(g.n)):
         return None
     found = _per_atom(g, b, _first_theta)
     if found is None:
@@ -462,14 +451,13 @@ def _triangles(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def _first_prism(g: Graph, budget: _Budget):
-    """(cap, ((t1, t2, matched), paths)) of the shortest-first prism, or None:
-    t1 before t2 in _triangles order, matched the permutation of t2 whose
-    corners the paths reach."""
-    tris = _triangles(g)
+def _first_prism(g: Graph, part: int, budget: _Budget):
+    """(cap, ((t1, t2, matched), paths)) of the shortest-first prism inside
+    part, or None: t1 before t2 in _triangles order, matched the permutation
+    of t2 whose corners the paths reach."""
+    tris = [t for t in _triangles(g) if not mask_of(t) & ~part]
     # per corner, the neighborhood of the other two corners of its triangle
     others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
-    full = g.full_mask()
     candidates = []
     for i, t1 in enumerate(tris):
         t1m = mask_of(t1)
@@ -483,9 +471,9 @@ def _first_prism(g: Graph, budget: _Budget):
                 if any(g.adj[u] & t2m & ~(1 << w) for u, w in ends):
                     continue
                 # interiors avoid all six corners and every other corner's neighborhood
-                pools = tuple(full & ~(t1m | t2m | others[i][u] | others[j][w]) for u, w in ends)
+                pools = tuple(part & ~(t1m | t2m | others[i][u] | others[j][w]) for u, w in ends)
                 candidates.append(((t1, t2, matched), ends, pools))
-    return _shortest_three_paths(g, candidates, budget)
+    return _shortest_three_paths(g, part, candidates, budget)
 
 
 def find_prism(

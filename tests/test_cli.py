@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from obslab import cli
-from obslab.generators import complete, cone, path_graph, plant_crystal, plant_phantom
+from obslab.generators import complete, cone, cycle, path_graph, plant_crystal, plant_phantom
 from obslab.graph_core import dumps_graph, loads_graph
 from obslab.structures import crystal_to_json_obj, phantom_to_json_obj
 from obslab.suites import suite_crystallized
@@ -264,6 +264,9 @@ def _phantom_payload_keyed(key):
     return payload
 
 
+_PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+
+
 def _kaleidoscope_payload(zset):
     # a four-cycle x=0, a=1, y=2 with the one path 0-3-2, plus a loose vertex 4
     graph = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
@@ -306,6 +309,17 @@ def _kaleidoscope_payload(zset):
         (["gen", "complete", "3", "--density", "coned"], ""),
         (["gen", "planted-crystal", "1", "1", "--seed", "2", "--format", "edgelist"], ""),
         (["gen", "planted-phantom", "2", "2", "1", "--seed", "2", "--format", "edgelist"], ""),
+        (["detect", "even-hole", "--c", "5"], _PATH3),
+        (["detect", "even-hole", "--s", "9"], _PATH3),
+        (["detect", "even-hole", "--t", "4"], _PATH3),
+        (["detect", "biclique", "--c", "3"], _PATH3),
+        (["detect", "clique", "--s", "2"], _PATH3),
+        (["detect", "theta", "--t", "0"], _PATH3),
+        (["detect", "hole", "--guard", "1"], _PATH3),
+        (["tw", "--bounds", "--exact-guard", "5"], _PATH3),
+        (["verify", "class-containment", "--n", "3", "--seed", "7", "--samples", "4"], ""),
+        (["verify", "class-containment", "--samples", "4"], ""),
+        (["verify", "ramsey", "--n", "3"], ""),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):
@@ -397,10 +411,38 @@ def test_help_exits_zero():
     assert run_cli(["verify", "--help"])[0] == 0
 
 
-def test_verify_header_shows_the_seed_the_suite_ran_with():
-    code, out = run_cli(["verify", "class-containment", "--n", "3", "--seed", "7"])
+def test_verify_header_shows_the_seed_the_suite_ran_with(capsys):
+    code, out = run_cli(["verify", "class-containment", "--n", "3"])
     assert code == 0 and "seed" not in json.loads(out.splitlines()[0])
+    code, out = run_cli(["verify", "class-containment", "--seed", "7"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("invalid input:")
     code, out = run_cli(["verify", "crystallized", "--samples", "2", "--seed", "7"])
     assert code == 0 and json.loads(out.splitlines()[0])["seed"] == 7
     code, out = run_cli(["verify", "crystallized", "--samples", "2"])
     assert code == 0 and json.loads(out.splitlines()[0])["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["clique", "--c", "0"], ["biclique", "--s", "0"], ["class-membership", "--t", "0"], ["even-hole", "--guard", "0"]],
+)
+def test_detect_keeps_an_explicit_zero(argv):
+    code, out = run_cli(["detect", *argv], json.dumps(_PATH3))
+    assert code == 1 and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,defaults",
+    [
+        (["detect", "clique"], ["--c", "3", "--guard", "64"]),
+        (["detect", "biclique"], ["--s", "2", "--guard", "64"]),
+        (["detect", "class-membership"], ["--guard", "64"]),
+        (["detect", "even-wheel"], ["--guard", "64"]),
+        (["tw"], ["--exact-guard", "22"]),
+    ],
+)
+def test_flag_defaults_are_the_documented_ones(argv, defaults):
+    text = dumps_graph(cone(cycle(4)))
+    code, out = run_cli(argv, text)
+    assert code == 0 and run_cli([*argv, *defaults], text) == (0, out)

@@ -17,7 +17,7 @@ from obslab.generators import (
     random_graph,
     wall,
 )
-from obslab.graph_core import Digraph, Graph, line_graph, set_relation
+from obslab.graph_core import Digraph, Graph, atoms, line_graph, set_relation
 from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
@@ -232,6 +232,44 @@ def test_atom_route_work_is_pinned(finder, calls, nodes, whole_calls, whole_node
     if nodes:
         with pytest.raises(ScaleLimit):
             finder(g, guard=128, budget=nodes - 1)
+
+
+def _glued_to_c5(n, edges):
+    """The graph on n vertices with these edges, glued at vertex 0 to a C5."""
+    ring = (0, n, n + 1, n + 2, n + 3)
+    return Graph.from_edges(n + 4, [*edges, *zip(ring, ring[1:] + ring[:1])])
+
+
+# the cube minus a vertex: even holes, four claw centres and no theta
+_CUBE_MINUS_VERTEX = [(0, 5), (0, 6), (1, 4), (1, 6), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6)]
+# two triangles joined by three paths of length 2, the middles of two of
+# them adjacent: two disjoint triangles and no prism
+_CHORDED_PRISM = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+_CHORDED_PRISM += [(0, 6), (6, 3), (1, 7), (7, 4), (2, 8), (8, 5), (6, 7)]
+# a C5 and a hub on all of it: one hole and an odd wheel
+_ODD_WHEEL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]
+
+# finder, graph glued to a C5 (two atoms, the C5 and the graph, neither
+# holding the structure), then the Graph.bfs_dist calls made and search nodes
+# needed.  Cap deepening and hole lengths stop at the size of the atom
+# searched; going on up to g.n would spend the nodes of the last caps again
+# and grow paths for holes longer than the atom.
+_TWO_ATOM_WORK = [
+    (det.find_theta, 7, _CUBE_MINUS_VERTEX, 17, 96),
+    (det.find_prism, 9, _CHORDED_PRISM, 7, 8),
+    (det.find_even_wheel, 6, _ODD_WHEEL, 5, 21),
+]
+
+
+@pytest.mark.parametrize("finder,n,edges,calls,nodes", _TWO_ATOM_WORK)
+def test_two_atom_work_is_pinned(finder, n, edges, calls, nodes, monkeypatch):
+    g = _glued_to_c5(n, edges)
+    assert len(atoms(g)) == 2 and det.find_hole(g) is not None
+    made = _counted_bfs(monkeypatch)
+    assert finder(g, budget=nodes) is None
+    assert len(made) == calls
+    with pytest.raises(ScaleLimit):
+        finder(g, budget=nodes - 1)
 
 
 def test_even_wheel_cases():
