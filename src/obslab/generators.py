@@ -9,7 +9,6 @@ stream; identical seeds reproduce identical graphs forever.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvalidInput, ScaleLimit
@@ -27,28 +26,7 @@ from .graph_core import (
     subdivide,
 )
 from .rng import SplitMix
-from .structures import Crystal, Phantom, ekey
-
-
-@dataclass(frozen=True)
-class WallSpec:
-    t: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise InvalidInput("wall side parameter must be >= 1")
-
-
-@dataclass(frozen=True)
-class CrystalSpec:
-    k: int
-    arms: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.k < 1 or self.k != len(self.arms):
-            raise InvalidInput("need k >= 1 double stars, one arm pair each")
-        if any(a < 1 or b < 1 for a, b in self.arms):
-            raise InvalidInput("leaf counts must be >= 1")
+from .structures import Crystal, CrystalSpec, Phantom, edges_inside, ekey
 
 
 # -- elementary families -----------------------------------------------------
@@ -184,7 +162,7 @@ def _brick_wall(h: int, w: int | None = None) -> Graph:
     return induced_subgraph(g, bits(keep))[0]
 
 
-def wall(spec: WallSpec | int) -> Graph:
+def wall(t: int) -> Graph:
     """The t-by-t hexagonal wall, calibrated so its treewidth is exactly t
     for t >= 2.
 
@@ -194,7 +172,8 @@ def wall(spec: WallSpec | int) -> Graph:
     t >= 2 (keeping a degree-three vertex in every member), and wall(1) is
     the single elementary brick, a six-cycle, of treewidth 2.
     """
-    t = spec.t if isinstance(spec, WallSpec) else WallSpec(spec).t
+    if t < 1:
+        raise InvalidInput("wall side parameter must be >= 1")
     if t == 1:
         return _brick_wall(1, 1)
     return _brick_wall(t - 1, t)
@@ -434,23 +413,14 @@ def plant_phantom_in(
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
-    def edges_inside(vset) -> list[tuple[int, int]]:
-        vm = mask_of(vset)
-        out = []
-        for u in bits(vm):
-            for v in bits(adj[u] & vm):
-                if v > u:
-                    out.append((u, v))
-        return out
-
-    base_edges = edges_inside(z0)
+    base_edges = edges_inside(adj, mask_of(z0))
     anchors = base_edges[0] if base_edges else None
     densified = False
     layers = [z0]
     maps = []
     cur = set(z0)
     while len(layers) <= r:
-        inside = edges_inside(cur)
+        inside = edges_inside(adj, mask_of(cur))
         # each level adds d vertices per edge inside what is built so far
         check_vertex_count(n + d * len(inside))
         gamma: dict[tuple[int, int], frozenset[int]] = {}

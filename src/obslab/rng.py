@@ -32,10 +32,3 @@ class SplitMix:
     def chance(self, num: int, den: int) -> bool:
         """True with probability num/den."""
         return self.below(den) < num
-
-    def shuffle(self, items):
-        pool = list(items)
-        for i in range(len(pool) - 1, 0, -1):
-            j = self.below(i + 1)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 from .graph_core import (
@@ -32,10 +32,12 @@ def ekey(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _edges_inside(g: Graph, vmask: int) -> list[tuple[int, int]]:
+def edges_inside(adj: Sequence[int], vmask: int) -> list[tuple[int, int]]:
+    """Edges (u, v) with u < v of the graph with adjacency rows adj inside
+    the vertex mask vmask, by ascending u, then v."""
     out = []
     for u in bits(vmask):
-        for v in bits(g.adj[u] & vmask):
+        for v in bits(adj[u] & vmask):
             if v > u:
                 out.append((u, v))
     return out
@@ -86,7 +88,7 @@ def validate_phantom(g: Graph, p: Phantom) -> StructureViolation | None:
     for i in range(1, p.r + 1):
         below = mask_of(p.layers[i - 1])
         fresh = mask_of(p.layers[i]) & ~below
-        dom = {ekey(*e) for e in _edges_inside(g, below)}
+        dom = {ekey(*e) for e in edges_inside(g.adj, below)}
         got = set(p.gamma_at(i))
         if got != dom:
             missing = sorted(dom - got)
@@ -126,7 +128,7 @@ def sub_phantom(g: Graph, p: Phantom, x0: Iterable[int], i: int, rp: int) -> Pha
     maps: list[dict[tuple[int, int], frozenset[int]]] = []
     cur = x0set
     for j in range(1, rp + 1):
-        inside = _edges_inside(g, mask_of(cur))
+        inside = edges_inside(g.adj, mask_of(cur))
         level = p.gamma_at(i + j)
         restricted = {ekey(*e): level[ekey(*e)] for e in inside}
         nxt = set(cur)
@@ -178,6 +180,21 @@ class Crystal:
         return out
 
 
+@dataclass(frozen=True)
+class CrystalSpec:
+    """Shape of a crystal graph: k coned double stars, each with its pair of
+    leaf counts (see generators.crystal_graph)."""
+
+    k: int
+    arms: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.k < 1 or self.k != len(self.arms):
+            raise InvalidInput("need k >= 1 double stars, one arm pair each")
+        if any(a < 1 or b < 1 for a, b in self.arms):
+            raise InvalidInput("leaf counts must be >= 1")
+
+
 def validate_crystal(g: Graph, c: Crystal) -> StructureViolation | None:
     """Clause-by-clause check; raises InvalidInput when the anchors are not an edge."""
     check_vertex_set(g, (c.z1, c.z2))
@@ -225,15 +242,13 @@ def is_clear_crystal(g: Graph, c: Crystal) -> bool:
     return True
 
 
-def crystal_realizes_graph(g: Graph, c: Crystal):
+def crystal_realizes_graph(g: Graph, c: Crystal) -> CrystalSpec | None:
     """CrystalSpec of the induced crystal graph on anchors + V(c), or None.
 
     Clearness makes the sides clean but leaves apex/anchor and apex/foreign-
     side adjacencies open; realization checks the whole glued-double-star
     pattern, so a non-None answer certifies an induced crystal graph.
     """
-    from .generators import CrystalSpec
-
     if not is_clear_crystal(g, c):
         return None
     for z in c.S:

@@ -15,7 +15,7 @@ from . import extractors as ext
 from . import generators as gen
 from . import structures as st
 from . import treewidth as tw
-from .errors import InvalidInput
+from .errors import InvalidInput, ScaleLimit
 from .graph_core import Digraph, Graph, bits
 from .rng import SplitMix
 
@@ -29,16 +29,17 @@ def _record(index: int, name: str, ok: bool, **extra) -> dict:
 # -- corpora -------------------------------------------------------------------
 
 
-def seeded_sparse_graphs(count: int, seed: int, n_lo: int = 4, n_hi: int = 10, max_total: int = 16):
-    """Seeded sparse graphs with at least one edge, sized so that one full
-    subdivision round stays within the exact-treewidth comfort zone."""
+def seeded_sparse_graphs(count: int, seed: int):
+    """Seeded sparse graphs on 4 to 10 vertices with at least one edge and
+    n + m <= 16, so that one full subdivision round (n + m vertices) stays
+    within the exact-treewidth comfort zone."""
     rng = SplitMix(seed)
     out = []
     while len(out) < count:
-        n = n_lo + rng.below(n_hi - n_lo + 1)
+        n = 4 + rng.below(7)
         den = 3 + rng.below(4)
         g = gen.random_graph(n, rng.next_u64(), 1, den)
-        if g.m == 0 or g.n + g.m > max_total:
+        if g.m == 0 or g.n + g.m > 16:
             continue
         out.append(g)
     return out
@@ -164,13 +165,13 @@ def suite_contraption(samples: int = 200, n_max: int = 10, seed: int = 0) -> lis
     return records
 
 
-def suite_crystallized(samples: int = 200, seed: int = 0, n_lo: int = 4, n_hi: int = 12) -> list[dict]:
-    """Crystallized-vertex extraction on seeded 2-trees, cross-checked by the
-    brute-force scan."""
+def suite_crystallized(samples: int = 200, seed: int = 0) -> list[dict]:
+    """Crystallized-vertex extraction on seeded 2-trees with 4 to 12 vertices,
+    cross-checked by the brute-force scan."""
     rng = SplitMix(seed)
     records = []
     for i in range(samples):
-        n = n_lo + rng.below(n_hi - n_lo + 1)
+        n = 4 + rng.below(9)
         g = gen.k_tree_random(2, n, rng.next_u64())
         z, (z1, z2, s1, s2) = ext.find_crystallized_vertex(g)
         brute_ok, _ = st.is_crystallized(g, z)
@@ -287,9 +288,14 @@ def suite_ramsey(c: int = 3, s: int = 2, seed: int = 0, samples: int = 300) -> l
     """Never-"neither" checks for the two Ramsey-type searchers: exhaustive
     over all isomorphism classes where the threshold is enumerable, seeded
     corpora with extremal members at the stated thresholds beyond that."""
+    # c**s when that is within the guard and past the guard otherwise: for
+    # c >= 2 the power c**guard.bit_length() is already past it, so a large s
+    # is never raised in full
+    thresh = c ** min(s, det.DEFAULT_GUARD.bit_length())
+    if thresh > det.DEFAULT_GUARD:
+        raise ScaleLimit(f"suite_ramsey: threshold {c}**{s} exceeds the guard of {det.DEFAULT_GUARD}")
     records = []
     i = 0
-    thresh = c**s
     if thresh <= 7:
         for n in range(thresh, 8):
             bad = 0

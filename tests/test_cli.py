@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from obslab import cli
+from obslab import cli, generators
 from obslab.generators import complete, cone, cycle, path_graph, plant_crystal, plant_phantom
 from obslab.graph_core import dumps_graph, loads_graph
 from obslab.structures import crystal_to_json_obj, phantom_to_json_obj
@@ -194,6 +194,18 @@ def test_verify_report_deterministic():
     assert strip(out1) == strip(out2)
 
 
+@pytest.mark.parametrize("c, s", [("2", "7"), ("3", "1000000")])
+def test_verify_ramsey_refuses_a_threshold_past_the_guard(c, s, monkeypatch, capsys):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("a graph was built before the guard was checked")
+
+    monkeypatch.setattr(generators, "complete", unbuilt)
+    monkeypatch.setattr(generators, "random_graph", unbuilt)
+    code, out = run_cli(["verify", "ramsey", "--c", c, "--s", s])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("scale limit:")
+
+
 def test_verify_class_containment_small():
     code, out = run_cli(["verify", "class-containment", "--n", "5"])
     assert code == 0
@@ -211,6 +223,9 @@ def test_scan_conjecture(tmp_path):
     last = json.loads(out.splitlines()[-1])
     assert last["conclusive"] is False
     assert last["max_treewidth_observed"] <= 3
+    # 33 graphs on at most 5 vertices have no even hole, no K_4 and no diamond
+    code, out = run_cli(["scan-conjecture", str(target), "--t", "4", "--n", "5"])
+    assert code == 0 and json.loads(out.splitlines()[-1])["checked"] == 33
     bad = tmp_path / "hole.json"
     bad.write_text(dumps_graph(cone(cone(path_graph(3)))))
     code, _ = run_cli(["scan-conjecture", str(bad), "--t", "4", "--n", "4"])

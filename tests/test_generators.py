@@ -13,7 +13,6 @@ from obslab.detectors import (
 from obslab.errors import InvalidInput
 from obslab.generators import (
     CrystalSpec,
-    WallSpec,
     basic_obstruction,
     complete,
     complete_bipartite,
@@ -130,7 +129,7 @@ def test_wall_shape():
     with pytest.raises(InvalidInput):
         wall(0)
     for t in (1, 2, 3, 4):
-        g = wall(WallSpec(t))
+        g = wall(t)
         # the elementary brick at t=1 is a plain six-cycle; every larger wall
         # carries branch vertices
         assert max(g.degree(v) for v in range(g.n)) == (2 if t == 1 else 3)

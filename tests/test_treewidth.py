@@ -3,6 +3,7 @@ from hypothesis import given, settings
 
 from obslab.errors import ScaleLimit
 from obslab.generators import (
+    _brick_wall,
     complete,
     complete_bipartite,
     cycle,
@@ -122,6 +123,11 @@ def test_verify_decomposition_violations():
 
 
 def test_wall_calibration():
+    # the raw brick wall with h rows and h columns of bricks has treewidth
+    # h + 1, which is why wall(t) takes t - 1 rows; wall(1) is a six-cycle
+    for h in (1, 2):
+        assert treewidth_exact(_brick_wall(h, h))[0] == h + 1
+    assert treewidth_exact(wall(1))[0] == 2
     assert treewidth_exact(wall(2))[0] == 2
     assert treewidth_exact(wall(3))[0] == 3
 
