@@ -380,6 +380,8 @@ def cmd_scan_conjecture(args) -> int:
     h = gc.loads_graph(text)
     if not det.is_k_forest(h, 2):
         raise InvalidInput("pattern graph must be a 2-forest")
+    # the scan runs before the header, so a refusal leaves stdout empty
+    checked, best, records = scan_conjecture(h, args.t, args.n, args.samples, args.seed)
     header = {
         "schema": SCHEMA_VERSION,
         "command": "scan-conjecture",
@@ -388,7 +390,6 @@ def cmd_scan_conjecture(args) -> int:
         "n_max": args.n,
     }
     _emit(header)
-    checked, best, records = scan_conjecture(h, args.t, args.n, args.samples, args.seed)
     for rec in records:
         _emit(rec)
     _emit({"checked": checked, "max_treewidth_observed": best, "conclusive": False})

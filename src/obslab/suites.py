@@ -139,6 +139,10 @@ def suite_obstructions(t_max: int = 3, seed: int = 0, samples: int = 5) -> list[
 def suite_class_containment(n_max: int = 7) -> list[dict]:
     """Exhaustively over isomorphism classes: no even hole implies no induced
     K_{2,2}, theta, prism or even wheel."""
+    if n_max > gen.ENUMERATION_LIMIT:
+        raise ScaleLimit(
+            f"suite_class_containment: n_max {n_max} exceeds the enumeration limit of {gen.ENUMERATION_LIMIT}"
+        )
     records = []
     i = 0
     for n in range(1, n_max + 1):
@@ -353,6 +357,10 @@ def scan_conjecture(h: Graph, t: int, n_max: int, samples: int = 50, seed: int =
     largest width among them (-1 if none), and one record per graph that
     raised the running maximum.
     """
+    if n_max > tw.DEFAULT_EXACT_GUARD:
+        raise ScaleLimit(
+            f"scan_conjecture: n_max {n_max} exceeds the exact-treewidth guard of {tw.DEFAULT_EXACT_GUARD}"
+        )
     rng = SplitMix(seed)
     best = -1
     checked = 0

@@ -206,6 +206,16 @@ def test_verify_ramsey_refuses_a_threshold_past_the_guard(c, s, monkeypatch, cap
     assert capsys.readouterr().err.startswith("scale limit:")
 
 
+def test_verify_class_containment_refuses_past_the_enumeration_limit(monkeypatch, capsys):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("graphs were enumerated before the limit was checked")
+
+    monkeypatch.setattr(generators, "enumerate_graphs", unbuilt)
+    code, out = run_cli(["verify", "class-containment", "--n", "9"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("scale limit:")
+
+
 def test_verify_class_containment_small():
     code, out = run_cli(["verify", "class-containment", "--n", "5"])
     assert code == 0
@@ -240,6 +250,18 @@ def test_verify_obstructions_guards_its_own_instances():
     assert "workers" not in lines[0]
     assert lines[-1]["failures"] == 0
     assert max(rec.get("n", 0) for rec in lines[1:-1]) > 128
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [(["--t", "4", "--n", "23"], "scale limit:"), (["--t", "0", "--n", "3"], "invalid input:")],
+)
+def test_scan_conjecture_fails_before_its_header(flags, error, tmp_path, capsys):
+    target = tmp_path / "pattern.json"
+    target.write_text(dumps_graph(cone(path_graph(3))))
+    code, out = run_cli(["scan-conjecture", str(target), *flags])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith(error)
 
 
 def test_scan_conjecture_missing_pattern(tmp_path):
