@@ -13,7 +13,6 @@ byte apart from the elapsed field on the summary line.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -336,6 +335,8 @@ _VERIFY_FLAGS = {"t": "t_max", "n": "n_max", "c": "c", "s": "s", "samples": "sam
 
 
 def cmd_verify(args) -> int:
+    import inspect  # only verify reads a signature; other commands skip its import
+
     suite = SUITES[args.suite]
     params = inspect.signature(suite).parameters
     kwargs = {}

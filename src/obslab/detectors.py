@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations, permutations
 from typing import Iterable, Iterator, Sequence
 
@@ -28,6 +27,7 @@ from .errors import InvalidInput, ScaleLimit
 from .graph_core import (
     Digraph,
     Graph,
+    Record,
     atoms,
     bits,
     check_vertex_set,
@@ -67,14 +67,13 @@ class _Budget:
             raise ScaleLimit(f"{self.what}: search budget exhausted")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A found structure; roles label each vertex, detail keeps ordered data
     (cycle order, path sequences) so the witness re-validates independently."""
 
     kind: str
     vertices: tuple[int, ...]
-    roles: dict[int, str] = field(default_factory=dict)
+    roles: dict[int, str] = {}  # a fresh dict per witness: Record copies it
     detail: tuple = ()
 
     def detail_map(self) -> dict:

@@ -10,11 +10,19 @@ reproducible and the recorded trace is a faithful log of the choices made.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .detectors import anticomplete_family, k_forest_order
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, bits, induced_subgraph, is_anticomplete_to, is_clique, is_stable_set, mask_of
+from .graph_core import (
+    Graph,
+    Record,
+    bits,
+    induced_subgraph,
+    is_anticomplete_to,
+    is_clique,
+    is_stable_set,
+    mask_of,
+)
 from .structures import (
     Crystal,
     Phantom,
@@ -28,8 +36,7 @@ from .structures import (
 )
 
 
-@dataclass(frozen=True)
-class HypothesisViolation:
+class HypothesisViolation(Record):
     """A proof step found too little material; names the step and shortfall."""
 
     step: str
@@ -38,8 +45,7 @@ class HypothesisViolation:
     available: int = 0
 
 
-@dataclass(frozen=True)
-class ClassObstruction:
+class ClassObstruction(Record):
     """Diagnostic payload when a size assertion fails: the violating
     configuration is mined for the biclique or clique witness it implies."""
 
@@ -47,8 +53,7 @@ class ClassObstruction:
     vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConeTree:
+class ConeTree(Record):
     """Rooted tree subgraph with per-vertex levels; shaped like the regular
     tree with root degree d and inner degree d+1."""
 
@@ -62,8 +67,7 @@ class ConeTree:
         return frozenset(self.level)
 
 
-@dataclass(frozen=True)
-class ExtractionOutcome:
+class ExtractionOutcome(Record):
     variant: str  # "crystal" | "clique-family" | "cone-tree"
     payload: object
     trace: tuple[tuple, ...]

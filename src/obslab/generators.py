@@ -352,6 +352,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     partition, so their subtrees reach the same leaves.
     """
     n = g.n
+    adj = g.adj
     pair = _pair_bits(n)
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -365,14 +366,18 @@ def canonical_key(g: Graph) -> tuple[int, int]:
             label = [0] * n
             for i, (v,) in enumerate(cells):
                 label[v] = i
-            mask = sum(pair[label[u]][label[v]] for u, v in g.edges())
+            mask = 0  # read from the rows: g.edges() would cache a tuple on a graph keyed once
+            for u, row in enumerate(adj):
+                to_u = pair[label[u]]
+                for v in bits(row & ~((2 << u) - 1)):
+                    mask |= to_u[label[v]]
             if best is None or mask < best:
                 best = mask
             continue
         i = min(open_cells)[1]
         tried: list[int] = []
         for v in cells[i]:
-            if any(_twins(g.adj, u, v) for u in tried):
+            if any(_twins(adj, u, v) for u in tried):
                 continue
             tried.append(v)
             rest = [u for u in cells[i] if u != v]

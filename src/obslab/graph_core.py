@@ -12,7 +12,6 @@ Graphs are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import InvalidInput
@@ -373,11 +372,82 @@ def subdivide_all(g: Graph, k: int = 1) -> Graph:
     return subdivide(g, {e: k for e in g.edges()})
 
 
+# -- records --------------------------------------------------------------
+
+
+class Record:
+    """Base of the package's immutable value objects (witnesses, violations,
+    decompositions, structures, outcomes).
+
+    A subclass's own annotations, in order, are its fields, and a class-level
+    value is that field's default; a dict, list or set default is copied for
+    each instance.  Instances take their fields positionally or by keyword,
+    compare equal when of the same type with equal fields, hash over the
+    fields, refuse assignment, and run __post_init__ once the fields are set.
+    An instance's __dict__ holds its fields and nothing else.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._from_call(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    @classmethod
+    def _from_call(cls, args: tuple, kwargs: dict) -> list:
+        """The field values, in order, of a call that leaves fields to keywords
+        or defaults; TypeError unless the call gives each field once."""
+        fields = cls._fields
+        rest = fields[len(args) :]
+        if len(args) > len(fields) or any(f not in rest for f in kwargs):
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}, each once")
+        values = list(args)
+        for f in rest:
+            if f in kwargs:
+                values.append(kwargs[f])
+            elif f in cls._defaults:
+                value = cls._defaults[f]
+                values.append(value.copy() if type(value) in (dict, list, set) else value)
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {f!r}")
+        return values
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__  # the fields, and nothing else
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.__getitem__, self._fields)))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+
 # -- induced paths --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Record):
     """An induced path, stored as its vertex sequence.
 
     Construct through path_from_vertices so the inducedness invariant holds:

@@ -9,12 +9,12 @@ re-checked against a rebuilt or deserialized graph.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 from .graph_core import (
     Graph,
+    Record,
     bits,
     check_vertex_set,
     is_anticomplete_to,
@@ -43,8 +43,7 @@ def edges_inside(adj: Sequence[int], vmask: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class StructureViolation:
+class StructureViolation(Record):
     clause: str
     detail: str
 
@@ -52,8 +51,7 @@ class StructureViolation:
 # -- phantoms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Phantom:
+class Phantom(Record):
     """Layered expansion (Z_0, ..., Z_r; per-level edge maps).
 
     ``gamma[i-1]`` maps each edge of the host induced on layer i-1 to its
@@ -144,8 +142,7 @@ def sub_phantom(g: Graph, p: Phantom, x0: Iterable[int], i: int, rp: int) -> Pha
 # -- crystals ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crystal:
+class Crystal(Record):
     """Anchored tuple (side1_z, z, side2_z : z in S) at an edge z1 z2.
 
     sides maps each z in S to its pair (side adjacent to z1, side adjacent
@@ -180,8 +177,7 @@ class Crystal:
         return out
 
 
-@dataclass(frozen=True)
-class CrystalSpec:
+class CrystalSpec(Record):
     """Shape of a crystal graph: k coned double stars, each with its pair of
     leaf counts (see generators.crystal_graph)."""
 
@@ -267,8 +263,7 @@ def crystal_realizes_graph(g: Graph, c: Crystal) -> CrystalSpec | None:
 # -- kaleidoscopes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kaleidoscope:
+class Kaleidoscope(Record):
     """Path fan (a, x, y, W): w internally disjoint induced x-y paths avoiding a."""
 
     a: int

@@ -13,17 +13,15 @@ clique separators; the width is the largest over the atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .detectors import max_clique
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, atoms, bits, induced_subgraph, mask_of, text_int
+from .graph_core import Graph, Record, atoms, bits, induced_subgraph, mask_of, text_int
 
 DEFAULT_EXACT_GUARD = 22
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(Record):
     """Bags indexed 0..k-1 plus tree edges between bag indices."""
 
     bags: tuple[frozenset[int], ...]
@@ -34,8 +32,7 @@ class TreeDecomposition:
         return max(len(b) for b in self.bags) - 1
 
 
-@dataclass(frozen=True)
-class DecompositionViolation:
+class DecompositionViolation(Record):
     axiom: str
     detail: str
 

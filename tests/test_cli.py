@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -441,6 +443,35 @@ def test_gen_obstruction_takes_a_kind_name():
 )
 def test_usage_errors_exit_one(argv):
     assert run_cli(argv)[0] == 1
+
+
+# run in a fresh interpreter: import obslab.cli, or run it as `python -m
+# obslab.cli` with the given arguments, and print at exit which of
+# dataclasses and inspect were loaded (only `verify` should load inspect)
+_LOADED_AT_EXIT = """
+import runpy, sys
+sys.argv = ["obslab"] + sys.argv[1:]
+try:
+    if len(sys.argv) == 1:
+        import obslab.cli
+    else:
+        runpy.run_module("obslab.cli", run_name="__main__")
+finally:
+    print(sorted({"dataclasses", "inspect"} & set(sys.modules)), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv", [[], ["gen", "wall", "3"]])
+def test_start_up_loads_neither_dataclasses_nor_inspect(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_AT_EXIT, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == "[]"
+    if argv:
+        assert loads_graph(proc.stdout).n == 22
 
 
 def test_help_exits_zero():

@@ -2,12 +2,13 @@
 either a pattern library built on the induced-subgraph matcher or a subset
 scan."""
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
 
 from obslab import detectors as det
-from obslab.generators import basic_obstruction, enumerate_graphs, random_graph
+from obslab.generators import basic_obstruction, enumerate_graphs, k_tree_random, random_graph
 from obslab.graph_core import Graph, mask_of
 from obslab.rng import SplitMix
 
@@ -268,3 +269,72 @@ def _brute_even_wheel(g):
                 if is_cycle_subset(g, sub, smask) is not None:
                     return True
     return False
+
+
+# -- absence oracle: bisimplicial vertices ----------------------------------------
+
+
+def _bisimplicial_vertex(g):
+    """A vertex whose neighbourhood is the union of two cliques (the
+    non-adjacency graph on it is bipartite), by two-colouring plain sets;
+    None when g has none."""
+    adj = [set(g.neighbors(v)) for v in range(g.n)]
+    for v in range(g.n):
+        side = {}
+        ok = True
+        for start in adj[v]:
+            if start in side:
+                continue
+            side[start] = 0
+            stack = [start]
+            while stack and ok:
+                u = stack.pop()
+                for w in adj[v] - adj[u] - {u}:
+                    if w not in side:
+                        side[w] = 1 - side[u]
+                        stack.append(w)
+                    elif side[w] == side[u]:
+                        ok = False
+            if not ok:
+                break
+        if ok:
+            return v
+    return None
+
+
+def _odd_hole_clique_sum(rng, pieces):
+    """C5s, C7s and triangles, each glued to a random vertex or edge of what is
+    built so far: no even hole, since a hole has no clique cutset and would
+    lie inside one piece."""
+    edges, cliques, n = set(), [], 0
+    for p in range(pieces):
+        size = rng.choice((3, 5, 7))
+        shared = list(rng.choice(cliques))[: rng.randrange(1, 3)] if p else []
+        verts = shared + list(range(n, n + size - len(shared)))
+        n += size - len(shared)
+        if size == 3:
+            ring = list(combinations(verts, 2))
+        else:
+            ring = [(verts[i], verts[(i + 1) % size]) for i in range(size)]
+        edges.update((min(e), max(e)) for e in ring)
+        cliques.extend(ring)
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_certified_absence_has_a_bisimplicial_vertex():
+    # every even-hole-free graph has a vertex whose neighbourhood is two
+    # cliques (Addario-Berry, Chudnovsky, Havet, Reed and Seymour, JCTB 98,
+    # 2008), so a graph without one that find_even_hole clears is a miss
+    absent = 0
+    classes = [g for n in range(1, 8) for g in enumerate_graphs(n)]
+    for g in classes:
+        if det.find_even_hole(g) is None:
+            absent += 1
+            assert _bisimplicial_vertex(g) is not None
+    assert (absent, len(classes)) == (578, 1252)
+    rng = random.Random(29)
+    ktrees = [k_tree_random(k, n, rng.getrandbits(64)) for k, n in ((2, 24), (3, 22), (4, 20)) for _ in range(4)]
+    sums = [_odd_hole_clique_sum(rng, 10) for _ in range(8)]
+    for g in ktrees + sums:
+        assert g.n > 18 and det.find_even_hole(g) is None
+        assert _bisimplicial_vertex(g) is not None

@@ -2,12 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from obslab.detectors import Witness
 from obslab.errors import InvalidInput
+from obslab.extractors import ClassObstruction, ConeTree, ExtractionOutcome, HypothesisViolation
 from obslab.generators import complete, cycle, path_graph, wall
 from obslab.graph_core import (
     MAX_VERTICES,
     Digraph,
     Graph,
+    Path,
     dumps_graph,
     from_edge_list,
     graph_from_json_obj,
@@ -24,6 +27,8 @@ from obslab.graph_core import (
     text_int,
     to_edge_list,
 )
+from obslab.structures import Crystal, CrystalSpec, Kaleidoscope, Phantom, StructureViolation
+from obslab.treewidth import DecompositionViolation, TreeDecomposition
 
 from .conftest import graphs
 
@@ -254,3 +259,95 @@ def test_greedy_independent_set_validates_by_pair_scan():
         for i, u in enumerate(picked):
             for w in picked[i + 1 :]:
                 assert not g.has_edge(u, w)
+
+
+# -- records ------------------------------------------------------------------
+
+# every record class, with the fields of two different instances by keyword
+RECORDS = [
+    (Path, {"vertices": (0, 1, 2)}, {"vertices": (0, 1)}),
+    (
+        Witness,
+        {"kind": "theta", "vertices": (0, 1), "roles": {0: "a"}, "detail": ()},
+        {"kind": "prism", "vertices": (0, 1), "roles": {}, "detail": ()},
+    ),
+    (StructureViolation, {"clause": "Z0", "detail": "empty"}, {"clause": "Z1", "detail": "empty"}),
+    (Phantom, {"layers": (frozenset({0}),), "gamma": (), "d": 1}, {"layers": (frozenset({0}),), "gamma": (), "d": 2}),
+    (
+        Crystal,
+        {"z1": 0, "z2": 1, "S": (2,), "sides": {2: (frozenset({3}), frozenset({4}))}},
+        {"z1": 0, "z2": 1, "S": (), "sides": {}},
+    ),
+    (CrystalSpec, {"k": 1, "arms": ((1, 2),)}, {"k": 1, "arms": ((2, 1),)}),
+    (Kaleidoscope, {"a": 0, "x": 1, "y": 2, "paths": ((1, 3, 2),)}, {"a": 0, "x": 2, "y": 1, "paths": ((2, 3, 1),)}),
+    (
+        HypothesisViolation,
+        {"step": "fan", "detail": "short", "needed": 3, "available": 1},
+        {"step": "fan", "detail": "short", "needed": 0, "available": 0},
+    ),
+    (ClassObstruction, {"kind": "clique", "vertices": (0, 1, 2)}, {"kind": "biclique", "vertices": (0, 1, 2)}),
+    (
+        ConeTree,
+        {"root": 0, "parent": {1: 0}, "level": {0: 0, 1: 1}, "d": 1, "r": 1},
+        {"root": 1, "parent": {0: 1}, "level": {1: 0, 0: 1}, "d": 1, "r": 1},
+    ),
+    (
+        ExtractionOutcome,
+        {"variant": "cone-tree", "payload": None, "trace": (("root", 0),)},
+        {"variant": "crystal", "payload": None, "trace": ()},
+    ),
+    (
+        TreeDecomposition,
+        {"bags": (frozenset({0, 1}),), "edges": ()},
+        {"bags": (frozenset({0}), frozenset({1})), "edges": ((0, 1),)},
+    ),
+    (DecompositionViolation, {"axiom": "edge", "detail": "(0,1)"}, {"axiom": "vertex", "detail": "0"}),
+]
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("cls, fields, other", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_records_are_immutable_values(cls, fields, other):
+    a = cls(**fields)
+    assert a == cls(*fields.values()) and not a != cls(**fields)
+    assert a != cls(**other) and a != tuple(fields.values())
+    assert all(getattr(a, name) == value for name, value in fields.items())
+    if all(_hashable(v) for v in fields.values()):
+        assert hash(a) == hash(cls(**fields))
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    body = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(a) == f"{cls.__name__}({body})"
+    name = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert getattr(a, name) == fields[name]
+
+
+def test_record_construction():
+    assert StructureViolation("Z0", "empty") != DecompositionViolation("Z0", "empty")
+    first, second = Witness("x", (1,)), Witness("x", (1,))
+    assert first.roles == {} and first.roles is not second.roles and first.detail == ()
+    assert HypothesisViolation("fan", "short") == HypothesisViolation("fan", "short", 0, 0)
+    bags, edges = (frozenset({0, 1}), frozenset({1, 2})), ((0, 1),)
+    assert TreeDecomposition(bags=bags, edges=edges) == TreeDecomposition(bags, edges)
+    assert TreeDecomposition(bags, edges=edges).width == 1
+    with pytest.raises(InvalidInput):
+        CrystalSpec(0, ())
+    with pytest.raises(InvalidInput):
+        CrystalSpec(k=1, arms=((0, 1),))
+    for args, kwargs in [((), {}), (((0,), 1), {}), (((0,),), {"vertices": (1,)}), ((), {"vertex": (0,)})]:
+        with pytest.raises(TypeError):
+            Path(*args, **kwargs)
