@@ -52,6 +52,21 @@ def _emit(obj) -> None:
     print(json.dumps(obj, separators=(",", ":")))
 
 
+def _read_object() -> dict:
+    """The JSON object on stdin."""
+    try:
+        obj = json.loads(sys.stdin.read())
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"malformed JSON: {exc}") from exc
+    return gc.json_of(obj, dict, "input")
+
+
+def _member(obj: dict, key: str):
+    if key not in obj:
+        raise InvalidInput(f"expected a '{key}' member")
+    return obj[key]
+
+
 # -- gen -----------------------------------------------------------------------
 
 
@@ -180,38 +195,30 @@ def cmd_validate(args) -> int:
         raise InvalidInput("--clear applies only to crystal")
     if args.mirrored is not None and args.kind != "kaleidoscope":
         raise InvalidInput("--mirrored applies only to kaleidoscope")
-    try:
-        obj = json.loads(sys.stdin.read())
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"malformed JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "graph" not in obj:
-        raise InvalidInput("expected an object with a 'graph' member")
     kind = args.kind
-    if kind not in obj:
-        raise InvalidInput(f"expected a '{kind}' member")
-    g = gc.graph_from_json_obj(obj["graph"])
+    obj = _read_object()
+    graph, data = _member(obj, "graph"), _member(obj, kind)
+    g = gc.graph_from_json_obj(graph)
     if kind == "phantom":
-        p = st.phantom_from_json_obj(obj["phantom"])
+        p = st.phantom_from_json_obj(data)
         bad = st.validate_phantom(g, p)
     elif kind == "crystal":
-        c = st.crystal_from_json_obj(obj["crystal"])
+        c = st.crystal_from_json_obj(data)
         bad = st.validate_crystal(g, c)
         if bad is None and args.clear and not st.is_clear_crystal(g, c):
             bad = st.StructureViolation("clear", "side sets are not pairwise anticomplete stable")
     elif kind == "kaleidoscope":
-        k = st.kaleidoscope_from_json_obj(obj["kaleidoscope"])
+        k = st.kaleidoscope_from_json_obj(data)
         bad = st.validate_kaleidoscope(g, k)
         if bad is None and args.mirrored is not None:
-            zset = obj.get("mirrored-set", [])
-            if not isinstance(zset, list):
-                raise InvalidInput("'mirrored-set' must be a list of vertices")
+            zset = gc.json_of(obj.get("mirrored-set", []), list, "'mirrored-set'")
             zset = [gc.json_int(z, "mirrored-set vertex") for z in zset]
             ok, why = st.is_mirrored(g, k, zset, args.mirrored)
             bad = None if ok else why
     else:  # decomposition, the last of the parser's choices
-        if not isinstance(obj["decomposition"], str):
+        if not isinstance(data, str):
             raise InvalidInput("'decomposition' must be PACE-style text")
-        td, _ = tw.from_pace(obj["decomposition"])
+        td, _ = tw.from_pace(data)
         bad = tw.verify_decomposition(g, td)
         if bad is not None:
             bad = st.StructureViolation(bad.axiom, bad.detail)
@@ -244,24 +251,12 @@ def _payload_obj(payload) -> dict:
 
 
 def cmd_extract(args) -> int:
-    try:
-        obj = json.loads(sys.stdin.read())
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"malformed JSON: {exc}") from exc
-    try:
-        return _run_extract(args, obj)
-    except InvalidInput:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"malformed extraction input: {exc!r}") from exc
-
-
-def _run_extract(args, obj) -> int:
-    g = gc.graph_from_json_obj(obj["graph"])
-    params = obj.get("params", {})
+    obj = _read_object()
+    g = gc.graph_from_json_obj(_member(obj, "graph"))
+    params = gc.json_of(obj.get("params", {}), dict, "params")
 
     def param(key: str) -> int:
-        return gc.json_int(params[key], f"params.{key}")
+        return gc.json_int(_member(params, key), f"params.{key}")
 
     op = args.operation
     if op == "crystallized-vertex":
@@ -269,20 +264,21 @@ def _run_extract(args, obj) -> int:
         payload = {"vertex": z, "anchors": [z1, z2], "sides": [sorted(s1), sorted(s2)]}
         return _emit_outcome("crystallized", payload)
     if op == "clear-crystal":
-        c = st.crystal_from_json_obj(obj["crystal"])
+        c = st.crystal_from_json_obj(_member(obj, "crystal"))
         out = ext.clear_crystal(g, c, param("f"), param("g"))
         if isinstance(out, ext.HypothesisViolation):
             return _emit_violation(out)
         return _emit_outcome("clear-crystal", st.crystal_to_json_obj(out))
     if op == "phantom-to-crystal":
-        p = st.phantom_from_json_obj(obj["phantom"])
+        p = st.phantom_from_json_obj(_member(obj, "phantom"))
         out = ext.phantom_to_crystal(g, p, param("f"), param("g"))
         return _emit_extraction(out)
     # phantom-to-cone-tree, the last of the parser's choices
-    p = st.phantom_from_json_obj(obj["phantom"])
+    p = st.phantom_from_json_obj(_member(obj, "phantom"))
+    context = gc.json_of(_member(obj, "context"), list, "context")
     out = ext.phantom_to_cone_tree(
         g,
-        [gc.json_int(v, "context vertex") for v in obj["context"]],
+        [gc.json_int(v, "context vertex") for v in context],
         param("z1"),
         param("z2"),
         param("z"),
@@ -335,10 +331,13 @@ _VERIFY_FLAGS = {"t": "t_max", "n": "n_max", "c": "c", "s": "s", "samples": "sam
 
 
 def cmd_verify(args) -> int:
-    import inspect  # only verify reads a signature; other commands skip its import
-
     suite = SUITES[args.suite]
-    params = inspect.signature(suite).parameters
+    # the suite's parameter names and defaults, read from the function itself
+    # (a wrapper, such as a tracer's, keeps it as __wrapped__): importing
+    # inspect for them would cost each verify call several milliseconds
+    fn = getattr(suite, "__wrapped__", suite)
+    params = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+    defaults = dict(zip(reversed(params), reversed(fn.__defaults__ or ())))
     kwargs = {}
     for flag, param in _VERIFY_FLAGS.items():
         if getattr(args, flag) is None:
@@ -353,7 +352,7 @@ def cmd_verify(args) -> int:
         raise InvalidInput(f"verify {args.suite}: these settings give no instances to check")
     header = {"schema": SCHEMA_VERSION, "command": f"verify {args.suite}"}
     if "seed" in params:
-        header["seed"] = kwargs.get("seed", params["seed"].default)
+        header["seed"] = kwargs.get("seed", defaults["seed"])
     _emit(header)
     failures = 0
     for rec in records:

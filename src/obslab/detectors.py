@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ScaleLimit
@@ -31,11 +31,10 @@ from .graph_core import (
     atoms,
     bits,
     check_vertex_set,
-    is_anticomplete_to,
+    induces,
     is_clique,
     is_stable_set,
     mask_of,
-    path_from_vertices,
 )
 
 DEFAULT_GUARD = 64
@@ -798,83 +797,47 @@ def acyclic_tournament_or_stable(
 # -- witness re-validation ----------------------------------------------------------------------------
 
 
-def _check_cycle(g: Graph, order: tuple[int, ...], even: bool | None) -> bool:
-    k = len(order)
-    if k < 4 or len(set(order)) != k:
-        return False
-    if even is True and k % 2:
-        return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(order[i], order[j])
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
-
-
 def validate_witness(g: Graph, w: Witness) -> bool:
-    """Re-check a witness against its definition, independent of any search."""
+    """Re-check a witness against its definition, independent of any search:
+    each kind is one induced pattern, tested by graph_core.induces."""
     d = w.detail_map()
-    if w.kind == "hole":
-        return _check_cycle(g, d["cycle"], None)
-    if w.kind == "even-hole":
-        return _check_cycle(g, d["cycle"], True)
-    if w.kind == "even-wheel":
-        hub, cyc = d["hub"], d["cycle"]
-        if hub in cyc or not _check_cycle(g, cyc, None):
+    if w.kind in ("hole", "even-hole", "even-wheel"):
+        cyc = d["cycle"]
+        if len(cyc) < 4 or (w.kind == "even-hole" and len(cyc) % 2):
+            return False
+        if not induces(g, cyc, zip(cyc, (*cyc[1:], cyc[0]))):
+            return False
+        if w.kind != "even-wheel":
+            return True
+        hub = d["hub"]
+        if hub in cyc:
             return False
         k = (g.adj[hub] & mask_of(cyc)).bit_count()
         return k >= 4 and k % 2 == 0
     if w.kind == "clique":
-        return is_clique(g, w.vertices)
+        return induces(g, w.vertices, combinations(w.vertices, 2))
     if w.kind == "stable":
-        return is_stable_set(g, w.vertices)
+        return induces(g, w.vertices, ())
     if w.kind == "biclique":
         a, b = d["sides"]
-        return (
-            is_stable_set(g, a)
-            and is_stable_set(g, b)
-            and all(g.has_edge(u, v) for u in a for v in b)
-        )
+        return induces(g, (*a, *b), product(a, b))
     if w.kind == "theta":
-        (a, z) = d["ends"]
-        paths = d["paths"]
-        if g.has_edge(a, z) or len(paths) != 3:
+        # the ends, then three paths between them of length >= 2
+        (a, z), paths = d["ends"], d["paths"]
+        if len(paths) != 3 or any(len(seq) < 3 or (seq[0], seq[-1]) != (a, z) for seq in paths):
             return False
-        interiors = []
-        for seq in paths:
-            if seq[0] != a or seq[-1] != z or len(seq) < 3:
-                return False
-            try:
-                path_from_vertices(g, seq)
-            except InvalidInput:
-                return False
-            interiors.append(mask_of(seq[1:-1]))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if interiors[i] & interiors[j]:
-                    return False
-                if not is_anticomplete_to(g, interiors[i], interiors[j]):
-                    return False
-        return True
-    if w.kind == "prism":
+        vertices = (a, z, *(v for seq in paths for v in seq[1:-1]))
+    elif w.kind == "prism":
+        # two triangles, then three paths from the first to the second
         t1, t2 = d["triangles"]
         paths = d["paths"]
-        verts = set(t1) | set(t2)
-        for seq in paths:
-            verts |= set(seq)
-        expected = set()
-        for tri in (t1, t2):
-            if not is_clique(g, tri) or len(set(tri)) != 3:
-                return False
-            expected |= {frozenset(e) for e in combinations(tri, 2)}
-        for i, seq in enumerate(paths):
-            if seq[0] != t1[i] or seq[-1] != t2[i]:
-                return False
-            expected |= {frozenset(e) for e in zip(seq, seq[1:])}
-        actual = {
-            frozenset((u, v)) for u in verts for v in verts if u < v and g.has_edge(u, v)
-        }
-        return actual == expected
-    raise InvalidInput(f"unknown witness kind {w.kind!r}")
+        if not len(t1) == len(t2) == len(paths) == 3:
+            return False
+        if any(not seq or (seq[0], seq[-1]) != (t1[i], t2[i]) for i, seq in enumerate(paths)):
+            return False
+        vertices = (*t1, *t2, *(v for seq in paths for v in seq[1:-1]))
+        # each triangle edge joins the paths as a path of one edge
+        paths = (*paths, *combinations(t1, 2), *combinations(t2, 2))
+    else:
+        raise InvalidInput(f"unknown witness kind {w.kind!r}")
+    return induces(g, vertices, (e for seq in paths for e in zip(seq, seq[1:])))

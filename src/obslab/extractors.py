@@ -17,16 +17,18 @@ from .graph_core import (
     Graph,
     Record,
     bits,
+    check_vertex_set,
     induced_subgraph,
+    induces,
     is_anticomplete_to,
     is_clique,
-    is_stable_set,
     mask_of,
 )
 from .structures import (
     Crystal,
     Phantom,
     crystallized_sides,
+    edges_inside,
     ekey,
     is_clear_crystal,
     is_crystallized,
@@ -185,13 +187,13 @@ def phantom_to_crystal(G: Graph, p: Phantom, f: int, g: int) -> ExtractionOutcom
     cliques complete to the base edge."""
     if f < 1 or g < 1:
         raise InvalidInput("need f >= 1 and g >= 1")
+    bad = validate_phantom(G, p)
+    if bad is not None:
+        raise InvalidInput(f"invalid phantom: {bad.clause}: {bad.detail}")
     if len(p.layers[0]) != 2:
         raise InvalidInput("base layer must be a 2-clique")
     if p.d != f + g:
         raise InvalidInput(f"per-edge size {p.d} must equal f+g = {f + g}")
-    bad = validate_phantom(G, p)
-    if bad is not None:
-        raise InvalidInput(f"invalid phantom: {bad.clause}: {bad.detail}")
     z1, z2 = sorted(p.layers[0])
     if not G.has_edge(z1, z2):
         raise InvalidInput("base layer is not an edge")
@@ -291,8 +293,11 @@ def phantom_to_cone_tree(
     A first-layer set with at least 2**h * t members adjacent into Z minus
     the triangle contradicts the host being (K_{2,2}, K_t)-free; that
     configuration is mined for its witness and returned as a diagnostic."""
-    zmask = mask_of(Z)
-    tri = mask_of((z1, z2, z))
+    zmask = check_vertex_set(G, Z)
+    tri = check_vertex_set(G, (z1, z2, z))
+    bad = validate_phantom(G, p)
+    if bad is not None:
+        raise InvalidInput(f"invalid phantom: {bad.clause}: {bad.detail}")
     if len({z1, z2, z}) != 3 or not is_clique(G, (z1, z2, z)):
         raise InvalidInput("z1, z2, z must form a triangle")
     if tri & ~zmask:
@@ -307,9 +312,6 @@ def phantom_to_cone_tree(
         raise InvalidInput("top layer must meet Z exactly in the triangle")
     if d < 1 or g < 1 or t < 1:
         raise InvalidInput("need d, g, t >= 1")
-    bad = validate_phantom(G, p)
-    if bad is not None:
-        raise InvalidInput(f"invalid phantom: {bad.clause}: {bad.detail}")
     return _cone_rec(G, zmask, z1, z2, z, p, d, g, h, t)
 
 
@@ -321,11 +323,11 @@ def _cone_rec(G: Graph, zmask: int, z1: int, z2: int, z: int, p: Phantom, d, g, 
     gam = p.gamma_at(1)
     fans = {1: sorted(gam[ekey(z1, z)]), 2: sorted(gam[ekey(z2, z)])}
     trace: list[tuple] = []
-    bound = (1 << h) * t
     for i in (1, 2):
         crowded = [w for w in fans[i] if G.adj[w] & zrest]
         trace.append(("crowding", i, len(crowded)))
-        if len(crowded) >= bound:
+        # at least 2**h * t crowded, without building 2**h for a large h
+        if len(crowded) >> h >= t:
             return _mine_obstruction(G, crowded, zrest, z, t)
     # L_1 comes from the z2-side fan, L_2 from the z1-side fan
     pools = {
@@ -425,9 +427,9 @@ def grow_2_tree(
     core = sorted(set(range(nabla.n)) - (s1 | s2))
     if sorted(embedding) != core:
         raise InvalidInput("embedding must cover exactly the 2-tree minus the private leaves")
-    for u, v in itertools.combinations(core, 2):
-        if nabla.has_edge(u, v) != G.has_edge(embedding[u], embedding[v]):
-            raise InvalidInput("embedding is not an induced embedding of the core")
+    core_edges = edges_inside(nabla.adj, mask_of(core))
+    if not induces(G, embedding.values(), ((embedding[u], embedding[v]) for u, v in core_edges)):
+        raise InvalidInput("embedding is not an induced embedding of the core")
     phi_z, phi_z1, phi_z2 = embedding[z], embedding[cz1], embedding[cz2]
     zset = frozenset(embedding.values())
     out = phantom_to_cone_tree(G, zset, phi_z1, phi_z2, phi_z, p, d, g, h, t)
@@ -451,21 +453,16 @@ def grow_2_tree(
     grown[z] = apex
     grown.update(zip(sorted(s1), a1))
     grown.update(zip(sorted(s2), a2))
-    for u, v in itertools.combinations(sorted(grown), 2):
-        assert nabla.has_edge(u, v) == G.has_edge(grown[u], grown[v]), (
-            "grown embedding is not induced"
-        )
+    assert induces(G, grown.values(), ((grown[u], grown[v]) for u, v in nabla.edges())), (
+        "grown embedding is not induced"
+    )
     return grown
 
 
 def _stable_graft(G: Graph, side1: list[int], side2: list[int], need1: int, need2: int):
     for a1 in itertools.combinations(side1, need1):
-        if not is_stable_set(G, a1):
-            continue
         for a2 in itertools.combinations(side2, need2):
-            if not is_stable_set(G, a2):
-                continue
-            if is_anticomplete_to(G, a1, a2):
+            if induces(G, a1 + a2, ()):
                 return list(a1), list(a2)
     return None
 

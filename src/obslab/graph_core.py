@@ -179,6 +179,25 @@ def check_vertex_set(g: Graph, xs: Iterable[int]) -> int:
 # -- set predicates -------------------------------------------------------
 
 
+def induces(g: Graph, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> bool:
+    """Whether g induces exactly the pattern (vertices, edges): the vertices
+    are distinct, and g's edges among them are exactly the given pairs.  A
+    vertex outside g raises InvalidInput.  The one test behind every check
+    that a witness or structure is an induced subgraph of a fixed shape."""
+    vs = tuple(vertices)
+    vmask = check_vertex_set(g, vs)
+    if vmask.bit_count() != len(vs):
+        return False
+    rows = dict.fromkeys(vs, 0)
+    for u, v in edges:
+        if u not in rows or v not in rows:
+            return False
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    adj = g.adj
+    return all(adj[v] & vmask == row for v, row in rows.items())
+
+
 def is_complete_to(g: Graph, xs: Iterable[int] | int, ys: Iterable[int] | int) -> bool:
     """Every cross pair adjacent (vacuously true when either side is empty)."""
     xm = xs if isinstance(xs, int) else check_vertex_set(g, xs)
@@ -473,12 +492,8 @@ def path_from_vertices(g: Graph, seq: Iterable[int]) -> Path:
     vs = tuple(seq)
     if len(vs) != len(set(vs)):
         raise InvalidInput("path repeats a vertex")
-    check_vertex_set(g, vs)
-    for i, u in enumerate(vs):
-        for j in range(i + 1, len(vs)):
-            adjacent = g.has_edge(u, vs[j])
-            if (j == i + 1) != adjacent:
-                raise InvalidInput(f"sequence is not an induced path at ({u},{vs[j]})")
+    if not induces(g, vs, zip(vs, vs[1:])):
+        raise InvalidInput("sequence is not an induced path")
     return Path(vs)
 
 
@@ -531,6 +546,16 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_of(x, kind: type, what: str):
+    """x itself when it is a JSON array (kind list) or object (kind dict);
+    InvalidInput for anything else, so no object is read as the list of its
+    keys and no string as the list of its characters."""
+    if not isinstance(x, kind):
+        name = "an array" if kind is list else "an object"
+        raise InvalidInput(f"{what} must be {name}, got {x!r:.40}")
+    return x
+
+
 def text_int(word: str, what: str) -> int:
     """The value of a word of ASCII digits; InvalidInput for anything else, so
     no sign, space or underscore that int() would take is read from outside."""
@@ -541,8 +566,12 @@ def text_int(word: str, what: str) -> int:
 
 def graph_from_json_obj(obj: dict) -> Graph:
     try:
+        obj = json_of(obj, dict, "graph")
         n = json_int(obj["n"], "n")
-        edges = [(json_int(u, "vertex"), json_int(v, "vertex")) for u, v in obj["edges"]]
+        edges = [
+            (json_int(u, "vertex"), json_int(v, "vertex"))
+            for u, v in json_of(obj["edges"], list, "edges")
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         # InvalidInput from json_int is a ValueError and gets the same prefix
         raise InvalidInput(f"malformed graph object: {exc}") from exc

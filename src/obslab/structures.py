@@ -17,10 +17,10 @@ from .graph_core import (
     Record,
     bits,
     check_vertex_set,
-    is_anticomplete_to,
+    induces,
     is_complete_to,
-    is_stable_set,
     json_int,
+    json_of,
     mask_of,
     path_from_vertices,
     text_int,
@@ -73,15 +73,18 @@ class Phantom(Record):
 
 
 def validate_phantom(g: Graph, p: Phantom) -> StructureViolation | None:
-    """Check the layering and per-edge clauses; None means valid."""
+    """Check the layering and per-edge clauses; None means valid.  A vertex
+    outside g raises InvalidInput."""
+    check_vertex_set(g, itertools.chain(*p.layers))
+    for level in p.gamma:
+        for e, gset in level.items():
+            check_vertex_set(g, (*e, *gset))
     if len(p.gamma) != p.r:
         return StructureViolation("shape", f"{p.r} layers above base but {len(p.gamma)} maps")
     if p.d < 1:
         return StructureViolation("shape", f"per-edge set size must be >= 1, got {p.d}")
-    for i, layer in enumerate(p.layers):
-        if mask_of(layer) & ~g.full_mask():
-            return StructureViolation("nesting", f"layer {i} leaves the host vertex range")
-        if i > 0 and not layer >= p.layers[i - 1]:
+    for i in range(1, len(p.layers)):
+        if not p.layers[i] >= p.layers[i - 1]:
             return StructureViolation("nesting", f"layer {i - 1} is not contained in layer {i}")
     for i in range(1, p.r + 1):
         below = mask_of(p.layers[i - 1])
@@ -192,8 +195,9 @@ class CrystalSpec(Record):
 
 
 def validate_crystal(g: Graph, c: Crystal) -> StructureViolation | None:
-    """Clause-by-clause check; raises InvalidInput when the anchors are not an edge."""
-    check_vertex_set(g, (c.z1, c.z2))
+    """Clause-by-clause check; raises InvalidInput when a vertex lies outside
+    g or the anchors are not an edge."""
+    check_vertex_set(g, (c.z1, c.z2, *c.vertex_set()))
     if not g.has_edge(c.z1, c.z2):
         raise InvalidInput(f"anchors {c.z1},{c.z2} are not adjacent")
     anchors = mask_of((c.z1, c.z2))
@@ -225,39 +229,28 @@ def validate_crystal(g: Graph, c: Crystal) -> StructureViolation | None:
 
 
 def is_clear_crystal(g: Graph, c: Crystal) -> bool:
-    """S stable and all 2f side sets pairwise anticomplete stable sets."""
-    if not is_stable_set(g, c.S):
-        return False
-    sides = c.side_sets()
-    for i, s in enumerate(sides):
-        if not is_stable_set(g, s):
-            return False
-        for t in sides[i + 1 :]:
-            if not is_anticomplete_to(g, s, t):
-                return False
-    return True
+    """S stable and all 2f side sets pairwise anticomplete stable sets: the
+    apexes form one stable set, and all the sides together another."""
+    return induces(g, c.S, ()) and induces(g, itertools.chain(*c.side_sets()), ())
 
 
 def crystal_realizes_graph(g: Graph, c: Crystal) -> CrystalSpec | None:
     """CrystalSpec of the induced crystal graph on anchors + V(c), or None.
 
-    Clearness makes the sides clean but leaves apex/anchor and apex/foreign-
-    side adjacencies open; realization checks the whole glued-double-star
-    pattern, so a non-None answer certifies an induced crystal graph.
+    Clearness makes the sides clean but leaves every edge to an apex or an
+    anchor open; realization checks the whole glued-double-star pattern, so
+    a non-None answer certifies an induced crystal graph.
     """
-    if not is_clear_crystal(g, c):
-        return None
+    vertices = [c.z1, c.z2, *c.S]
+    edges = [(c.z1, c.z2)]
     for z in c.S:
-        if not (g.has_edge(z, c.z1) and g.has_edge(z, c.z2)):
-            return None
-        for other in c.S:
-            if other == z:
-                continue
-            s1, s2 = c.sides[other]
-            if not is_anticomplete_to(g, (z,), s1 | s2):
-                return None
-    gsize = c.g
-    return CrystalSpec(k=c.f, arms=tuple((gsize, gsize) for _ in c.S))
+        edges += [(z, c.z1), (z, c.z2)]
+        for anchor, side in zip((c.z1, c.z2), c.sides[z]):
+            vertices += side
+            edges += [e for x in side for e in ((x, anchor), (x, z))]
+    if not induces(g, vertices, edges):
+        return None
+    return CrystalSpec(k=c.f, arms=tuple(tuple(map(len, c.sides[z])) for z in c.S))
 
 
 # -- kaleidoscopes ------------------------------------------------------------
@@ -277,10 +270,14 @@ class Kaleidoscope(Record):
 
 
 def validate_kaleidoscope(g: Graph, k: Kaleidoscope) -> StructureViolation | None:
-    check_vertex_set(g, (k.a, k.x, k.y))
+    """Clause-by-clause check; raises InvalidInput when a vertex lies outside
+    g or a path is empty."""
+    check_vertex_set(g, (k.a, k.x, k.y, *itertools.chain(*k.paths)))
+    if not all(k.paths):
+        raise InvalidInput("a kaleidoscope path needs at least one vertex")
     if len({k.a, k.x, k.y}) != 3:
         return StructureViolation("K1", "a, x, y must be three distinct vertices")
-    if not (g.has_edge(k.x, k.a) and g.has_edge(k.a, k.y)) or g.has_edge(k.x, k.y):
+    if not induces(g, (k.x, k.a, k.y), ((k.x, k.a), (k.a, k.y))):
         return StructureViolation("K1", "x-a-y must be an induced two-edge path")
     seen_interiors = 0
     for idx, seq in enumerate(k.paths):
@@ -404,15 +401,21 @@ def phantom_to_json_obj(p: Phantom) -> dict:
     }
 
 
+def _vertices(x, what: str) -> tuple[int, ...]:
+    """The JSON array x of vertices; InvalidInput for anything else."""
+    return tuple(json_int(v, "vertex") for v in json_of(x, list, what))
+
+
 def phantom_from_json_obj(obj: dict) -> Phantom:
     try:
-        layers = tuple(frozenset(json_int(v, "vertex") for v in layer) for layer in obj["layers"])
+        obj = json_of(obj, dict, "phantom")
+        layers = tuple(frozenset(_vertices(x, "layer")) for x in json_of(obj["layers"], list, "layers"))
         gamma = []
-        for level in obj["gamma"]:
+        for level in json_of(obj["gamma"], list, "gamma"):
             entry = {}
-            for key, vals in level.items():
+            for key, vals in json_of(level, dict, "gamma level").items():
                 u, v = (text_int(x, "gamma key") for x in key.split("-"))
-                entry[ekey(u, v)] = frozenset(json_int(x, "vertex") for x in vals)
+                entry[ekey(u, v)] = frozenset(_vertices(vals, "gamma set"))
             gamma.append(entry)
         return Phantom(layers, tuple(gamma), json_int(obj["d"], "d"))
     except (KeyError, TypeError, ValueError) as exc:
@@ -430,10 +433,11 @@ def crystal_to_json_obj(c: Crystal) -> dict:
 
 def crystal_from_json_obj(obj: dict) -> Crystal:
     try:
-        s = tuple(json_int(z, "apex") for z in obj["S"])
+        obj = json_of(obj, dict, "crystal")
+        s = _vertices(obj["S"], "S")
         sides = {}
-        for key, pair in obj["sides"].items():
-            a, b = (frozenset(json_int(x, "vertex") for x in side) for side in pair)
+        for key, pair in json_of(obj["sides"], dict, "sides").items():
+            a, b = (frozenset(_vertices(side, "side")) for side in json_of(pair, list, "side pair"))
             sides[text_int(key, "sides key")] = (a, b)
         return Crystal(json_int(obj["z1"], "z1"), json_int(obj["z2"], "z2"), s, sides)
     except (KeyError, TypeError, ValueError) as exc:
@@ -446,7 +450,8 @@ def kaleidoscope_to_json_obj(k: Kaleidoscope) -> dict:
 
 def kaleidoscope_from_json_obj(obj: dict) -> Kaleidoscope:
     try:
-        paths = tuple(tuple(json_int(v, "vertex") for v in p) for p in obj["paths"])
+        obj = json_of(obj, dict, "kaleidoscope")
+        paths = tuple(_vertices(p, "path") for p in json_of(obj["paths"], list, "paths"))
         a, x, y = (json_int(obj[key], key) for key in ("a", "x", "y"))
         return Kaleidoscope(a, x, y, paths)
     except (KeyError, TypeError, ValueError) as exc:

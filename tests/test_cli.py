@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -133,17 +134,18 @@ def test_extract_phantom_to_crystal():
     assert "crystal" in rep["payload"]
 
 
-def test_extract_cone_tree():
+def _cone_tree_payload():
     host, p = plant_phantom(complete(3), 2, 1, density="coned")
-    payload = json.dumps(
-        {
-            "graph": json.loads(dumps_graph(host)),
-            "phantom": phantom_to_json_obj(p),
-            "context": [0, 1, 2],
-            "params": {"z1": 0, "z2": 1, "z": 2, "d": 1, "g": 1, "h": 3, "t": 4},
-        }
-    )
-    code, out = run_cli(["extract", "phantom-to-cone-tree"], payload)
+    return {
+        "graph": json.loads(dumps_graph(host)),
+        "phantom": phantom_to_json_obj(p),
+        "context": [0, 1, 2],
+        "params": {"z1": 0, "z2": 1, "z": 2, "d": 1, "g": 1, "h": 3, "t": 4},
+    }
+
+
+def test_extract_cone_tree():
+    code, out = run_cli(["extract", "phantom-to-cone-tree"], json.dumps(_cone_tree_payload()))
     assert code == 0
     assert json.loads(out)["variant"] == "cone-tree"
 
@@ -306,6 +308,16 @@ def _phantom_payload_keyed(key):
 _PATH3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
 
 
+def _changed(payload, value, *path):
+    """A copy of payload with the sub-value at path replaced by value."""
+    out = json.loads(json.dumps(payload))
+    cur = out
+    for key in path[:-1]:
+        cur = cur[key]
+    cur[path[-1]] = value
+    return out
+
+
 def _kaleidoscope_payload(zset):
     # a four-cycle x=0, a=1, y=2 with the one path 0-3-2, plus a loose vertex 4
     graph = {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [0, 3]]}
@@ -359,6 +371,19 @@ def _kaleidoscope_payload(zset):
         (["verify", "class-containment", "--n", "3", "--seed", "7", "--samples", "4"], ""),
         (["verify", "class-containment", "--samples", "4"], ""),
         (["verify", "ramsey", "--n", "3"], ""),
+        # a container of the wrong JSON type, and a vertex outside the graph,
+        # in each structure
+        (["validate", "crystal"], _crystal_payload(sides=3)),
+        (["validate", "phantom"], _changed(_phantom_payload(), "x", "phantom", "gamma", 0)),
+        (
+            ["validate", "crystal"],
+            {
+                "graph": {"n": 4, "edges": [[0, 1], [0, 2], [1, 2], [0, 3], [2, 3]]},
+                "crystal": {"z1": 0, "z2": 1, "S": [2], "sides": {"2": [[3], [1000000]]}},
+            },
+        ),
+        (["validate", "phantom"], _changed(_phantom_payload(), [0, 1, 2**70], "phantom", "layers", 0)),
+        (["validate", "kaleidoscope"], _changed(_kaleidoscope_payload([4]), [[]], "kaleidoscope", "paths")),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):
@@ -447,7 +472,7 @@ def test_usage_errors_exit_one(argv):
 
 # run in a fresh interpreter: import obslab.cli, or run it as `python -m
 # obslab.cli` with the given arguments, and print at exit which of
-# dataclasses and inspect were loaded (only `verify` should load inspect)
+# dataclasses and inspect were loaded (no command should load either)
 _LOADED_AT_EXIT = """
 import runpy, sys
 sys.argv = ["obslab"] + sys.argv[1:]
@@ -461,7 +486,7 @@ finally:
 """
 
 
-@pytest.mark.parametrize("argv", [[], ["gen", "wall", "3"]])
+@pytest.mark.parametrize("argv", [[], ["gen", "wall", "3"], ["verify", "crystallized", "--samples", "1"]])
 def test_start_up_loads_neither_dataclasses_nor_inspect(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -470,7 +495,7 @@ def test_start_up_loads_neither_dataclasses_nor_inspect(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.splitlines()[-1] == "[]"
-    if argv:
+    if argv[:1] == ["gen"]:
         assert loads_graph(proc.stdout).n == 22
 
 
@@ -514,3 +539,39 @@ def test_flag_defaults_are_the_documented_ones(argv, defaults):
     text = dumps_graph(cone(cycle(4)))
     code, out = run_cli(argv, text)
     assert code == 0 and run_cli([*argv, *defaults], text) == (0, out)
+
+
+_FUZZ_VALUES = (0, -1, 2**70, 10**6, "s", [], [[]], {}, None, True, 1.5)
+
+
+def _sub_paths(x, path=()):
+    """The path to every sub-value of the JSON value x, x itself excluded."""
+    items = x.items() if isinstance(x, dict) else enumerate(x) if isinstance(x, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _sub_paths(value, path + (key,))
+
+
+def test_structure_input_fuzz_exits_cleanly():
+    # each mutation replaces one sub-value of a valid payload; whatever it
+    # breaks, the command answers with an exit code and raises nothing
+    cases = [
+        (["validate", "phantom"], _phantom_payload()),
+        (["validate", "crystal", "--clear"], _crystal_payload()),
+        (["validate", "kaleidoscope", "--mirrored", "1"], _kaleidoscope_payload([4])),
+        (["extract", "crystallized-vertex"], {"graph": json.loads(dumps_graph(cone(path_graph(3))))}),
+        (["extract", "clear-crystal"], dict(_crystal_payload(), params={"f": 1, "g": 1})),
+        (["extract", "phantom-to-crystal"], _phantom_payload(params={"f": 1, "g": 1})),
+        (["extract", "phantom-to-cone-tree"], _cone_tree_payload()),
+    ]
+    rng = random.Random(0)
+    for argv, payload in cases:
+        assert run_cli(argv, json.dumps(payload))[0] in (0, 2)
+        paths = list(_sub_paths(payload))
+        for _ in range(50):
+            mutated = _changed(payload, rng.choice(_FUZZ_VALUES), *rng.choice(paths))
+            try:
+                code, _ = run_cli(argv, json.dumps(mutated))
+            except Exception as exc:
+                pytest.fail(f"{argv} raised {exc!r} on {json.dumps(mutated)}")
+            assert code in (0, 1, 2)

@@ -131,6 +131,30 @@ def test_prism_cases():
     assert w is not None and det.validate_witness(prism6, w)
 
 
+def _prism_witness(triangles, paths):
+    verts = {v for seq in (*triangles, *paths) for v in seq}
+    return det.Witness("prism", tuple(sorted(verts)), {}, (("triangles", triangles), ("paths", paths)))
+
+
+def test_prism_witness_paths_share_no_vertex():
+    # paths (0,6,3) and (1,6,4) both pass through 6; every listed edge is present
+    g = Graph.from_edges(
+        7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 6), (6, 3), (1, 6), (6, 4), (2, 5)]
+    )
+    w = _prism_witness(((0, 1, 2), (3, 4, 5)), ((0, 6, 3), (1, 6, 4), (2, 5)))
+    assert not det.validate_witness(g, w)
+
+
+def test_prism_witness_has_three_paths():
+    prism6 = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    w = _prism_witness(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5)))
+    assert det.validate_witness(prism6, w)
+    w = _prism_witness(((0, 1, 2), (3, 4, 5)), ((0, 3), (1, 4), (2, 5), (0, 3)))
+    assert not det.validate_witness(prism6, w)
+
+
 # finder, obstruction kind, then the Graph.bfs_dist calls made and search
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every

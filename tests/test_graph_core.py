@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -16,6 +18,7 @@ from obslab.graph_core import (
     graph_from_json_obj,
     graph_to_json_obj,
     induced_subgraph,
+    induces,
     is_anticomplete_to,
     is_stable_set,
     line_graph,
@@ -132,6 +135,40 @@ def test_path_validation():
         path_from_vertices(c5, [0, 1, 2, 3, 4])  # closing chord 4-0
     with pytest.raises(InvalidInput):
         path_from_vertices(c5, [0, 2])
+
+
+def induces_by_pairs(g, vertices, edges):
+    """The oracle for induces, on vertices of g: a plain scan of every vertex
+    pair with has_edge, compared with the given pairs as unordered sets."""
+    vs = list(vertices)
+    if len(set(vs)) != len(vs):
+        return False
+    have = {frozenset((u, v)) for i, u in enumerate(vs) for v in vs[i + 1 :] if g.has_edge(u, v)}
+    return have == {frozenset(e) for e in edges}
+
+
+@given(graphs(max_n=7), hst.data())
+@settings(max_examples=300, deadline=None)
+def test_induces_matches_the_pair_scan(g, data):
+    # vertex lists may repeat a vertex; the edge list is g's own edges among
+    # them, every other one reversed, with up to two pairs flipped and up to
+    # one pair that may be a loop or leave the list
+    vs = data.draw(hst.lists(hst.integers(0, g.n - 1), max_size=6)) if g.n else []
+    pairs = list(itertools.combinations(vs, 2))
+    flips = data.draw(hst.sets(hst.sampled_from(range(len(pairs))), max_size=2)) if pairs else set()
+    edges = [
+        (v, u) if i % 2 else (u, v)
+        for i, (u, v) in enumerate(pairs)
+        if g.has_edge(u, v) != (i in flips)
+    ]
+    edges += data.draw(hst.lists(hst.tuples(hst.integers(-1, 8), hst.integers(-1, 8)), max_size=1))
+    assert induces(g, vs, edges) == induces_by_pairs(g, vs, edges)
+
+
+def test_induces_refuses_a_vertex_outside_the_graph():
+    for v in (-1, 5, 2**70):
+        with pytest.raises(InvalidInput):
+            induces(cycle(5), [0, v], [(0, v)])
 
 
 def _plain_distances(g, src, allowed):

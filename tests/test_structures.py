@@ -136,6 +136,16 @@ def test_noisy_crystal_valid_not_clear():
     assert crystal_realizes_graph(host, c) is None
 
 
+def test_crystal_realization_needs_every_side_edge():
+    host, c = plant_crystal(2, 1)
+    z = c.S[0]
+    x = min(c.sides[z][0])
+    cut = Graph.from_edges(host.n, [e for e in host.edges() if set(e) != {x, z}])
+    assert crystal_realizes_graph(host, c) == CrystalSpec(2, ((1, 1), (1, 1)))
+    assert validate_crystal(cut, c).clause == "CR3"
+    assert crystal_realizes_graph(cut, c) is None
+
+
 def test_crystal_json_round_trip():
     host, c = plant_crystal(2, 3, noise_seed=1)
     assert crystal_from_json_obj(crystal_to_json_obj(c)) == c
