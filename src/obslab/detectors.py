@@ -33,15 +33,15 @@ from .graph_core import (
     check_vertex_set,
     induces,
     is_clique,
-    is_stable_set,
     mask_of,
+    stable_sets,
 )
 
 DEFAULT_GUARD = 64
 DEFAULT_BUDGET = 5_000_000
 
 
-def _check_scale(g: Graph, guard: int, what: str) -> None:
+def _check_scale(g: Graph | Digraph, guard: int, what: str) -> None:
     if g.n > guard:
         raise ScaleLimit(f"{what}: {g.n} vertices exceeds the guard of {guard}")
 
@@ -562,24 +562,22 @@ def find_clique(g: Graph, c: int, guard: int = DEFAULT_GUARD) -> Witness | None:
 
 
 def find_induced_biclique(g: Graph, s: int, t: int, guard: int = DEFAULT_GUARD) -> Witness | None:
-    """An induced complete bipartite subgraph with stable sides of sizes s, t."""
+    """An induced complete bipartite subgraph with stable sides of sizes s, t:
+    the first side A, then the first side B, in combinations order.  Two
+    members of A need t common neighbors, so each row of A's search also
+    bans the vertices that have fewer; that loses no side A."""
     if s < 1 or t < 1:
         raise InvalidInput("biclique side sizes must be >= 1")
     _check_scale(g, guard, "find_induced_biclique")
-    n = g.n
-    for side_a in combinations(range(n), s):
-        am = mask_of(side_a)
-        if not is_stable_set(g, side_a):
-            continue
-        common = g.full_mask() & ~am
-        for a in side_a:
-            common &= g.adj[a]
-        if common.bit_count() < t:
-            continue
-        pool = list(bits(common))
-        for side_b in combinations(pool, t):
-            if not is_stable_set(g, side_b):
-                continue
+    adj = g.adj
+    rows = [a | mask_of(u for u, b in enumerate(adj) if (a & b).bit_count() < t) for a in adj]
+    for am in stable_sets(rows, g.full_mask(), s):
+        common = g.full_mask()
+        for a in bits(am):
+            common &= adj[a]
+        bm = next(stable_sets(adj, common, t), None)
+        if bm is not None:
+            side_a, side_b = tuple(bits(am)), tuple(bits(bm))
             roles = {v: "side0" for v in side_a}
             roles.update({v: "side1" for v in side_b})
             return Witness(
@@ -599,20 +597,16 @@ def membership_E_t(
 ) -> Witness | None:
     """None iff the graph avoids induced K_{2,2}, theta, prism, even wheel and,
     when t is given, K_t; otherwise the first witness in that fixed order."""
-    w = find_induced_biclique(g, 2, 2, guard)
-    if w is not None:
-        return w
-    w = find_theta(g, guard, budget)
-    if w is not None:
-        return w
-    w = find_prism(g, guard, budget)
-    if w is not None:
-        return w
-    w = find_even_wheel(g, guard, budget)
-    if w is not None:
-        return w
+    searches = [
+        (find_induced_biclique, (2, 2, guard)),
+        (find_theta, (guard, budget)),
+        (find_prism, (guard, budget)),
+        (find_even_wheel, (guard, budget)),
+    ]
     if t is not None:
-        w = find_clique(g, t, guard)
+        searches.append((find_clique, (t, guard)))
+    for find, args in searches:
+        w = find(g, *args)
         if w is not None:
             return w
     return None
@@ -724,41 +718,19 @@ def find_clique_or_stable(
 def anticomplete_family(
     g: Graph, sets: list[Iterable[int]], q: int
 ) -> list[int] | None:
-    """Indices of q sets pairwise anticomplete in g, smallest-index-first
-    backtracking over the conflict relation; None when no such family exists."""
+    """Indices of q sets pairwise anticomplete in g, the first such family in
+    combinations order; None when no such family exists."""
     masks = [check_vertex_set(g, s) for s in sets]
-    taken = 0
-    for m in masks:
-        if m & taken:
-            raise InvalidInput("anticomplete_family requires pairwise disjoint sets")
-        taken |= m
-    nbhd = [g.neighborhood(m) for m in masks]
-    k = len(masks)
-    compat = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not (nbhd[i] & masks[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
-
-    chosen: list[int] = []
-
-    def backtrack(start: int, pool: int) -> bool:
-        if len(chosen) == q:
-            return True
-        for i in bits(pool >> start << start):
-            rest = pool & compat[i] & ~((1 << (i + 1)) - 1)
-            if len(chosen) + 1 + rest.bit_count() < q:
-                continue
-            chosen.append(i)
-            if backtrack(i + 1, pool & compat[i]):
-                return True
-            chosen.pop()
-        return False
-
-    if backtrack(0, (1 << k) - 1):
-        return list(chosen)
-    return None
+    owner: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        for v in bits(m):
+            if v in owner:
+                raise InvalidInput("anticomplete_family requires pairwise disjoint sets")
+            owner[v] = i
+    # conflict[i]: the sets that touch set i
+    conflict = [mask_of(owner[v] for v in bits(g.neighborhood(m)) if v in owner) for m in masks]
+    chosen = next(stable_sets(conflict, (1 << len(masks)) - 1, q), None)
+    return None if chosen is None else list(bits(chosen))
 
 
 def acyclic_tournament_or_stable(
@@ -767,8 +739,7 @@ def acyclic_tournament_or_stable(
     """("tournament", chain) with every forward arc present along the chain,
     or ("stable", set) with no arcs at all among the set; ("neither", None)
     only below the c**(c**s) guarantee threshold."""
-    if d.n > guard:
-        raise ScaleLimit(f"acyclic_tournament_or_stable: {d.n} vertices exceeds {guard}")
+    _check_scale(d, guard, "acyclic_tournament_or_stable")
     chain: list[int] = []
 
     def grow(pool: int) -> bool:

@@ -23,6 +23,7 @@ from .graph_core import (
     is_anticomplete_to,
     is_clique,
     mask_of,
+    stable_sets,
 )
 from .structures import (
     Crystal,
@@ -395,10 +396,10 @@ def _mine_obstruction(G: Graph, crowded: list[int], zrest: int, z: int, t: int):
     prof, group = max(profiles.items(), key=lambda kv: len(kv[1]))
     assert len(group) >= t, "pigeonhole failure while mining the crowded fan"
     group = group[:t]
-    for a, b in itertools.combinations(group, 2):
-        if not G.has_edge(a, b):
-            y = min(bits(prof))
-            return ClassObstruction("biclique", tuple(sorted((a, b, y, z))))
+    pair = next(stable_sets(G.adj, mask_of(group), 2), 0)
+    if pair:
+        y = min(bits(prof))
+        return ClassObstruction("biclique", tuple(sorted((*bits(pair), y, z))))
     return ClassObstruction("clique", tuple(sorted(group)))
 
 
@@ -440,7 +441,7 @@ def grow_2_tree(
     crystal: Crystal = out.payload
     apex = crystal.S[0]
     side1, side2 = crystal.sides[apex]
-    picks = _stable_graft(G, sorted(side1), sorted(side2), len(s1), len(s2))
+    picks = _stable_graft(G, mask_of(side1), mask_of(side2), len(s1), len(s2))
     if picks is None:
         return HypothesisViolation(
             "graft-stability",
@@ -459,11 +460,13 @@ def grow_2_tree(
     return grown
 
 
-def _stable_graft(G: Graph, side1: list[int], side2: list[int], need1: int, need2: int):
-    for a1 in itertools.combinations(side1, need1):
-        for a2 in itertools.combinations(side2, need2):
-            if induces(G, a1 + a2, ()):
-                return list(a1), list(a2)
+def _stable_graft(G: Graph, side1: int, side2: int, need1: int, need2: int):
+    """The first stable need1-set a1 of side1 that leaves a stable need2-set
+    a2 in side2 outside a1 and its neighbors, with that first a2."""
+    for a1 in stable_sets(G.adj, side1, need1):
+        a2 = next(stable_sets(G.adj, side2 & ~a1 & ~G.neighborhood(a1), need2), None)
+        if a2 is not None:
+            return list(bits(a1)), list(bits(a2))
     return None
 
 

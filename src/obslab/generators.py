@@ -20,9 +20,9 @@ from .graph_core import (
     check_vertex_count,
     check_vertex_set,
     induced_subgraph,
-    is_clique,
     line_graph,
     mask_of,
+    stable_sets,
     subdivide,
 )
 from .rng import SplitMix
@@ -226,11 +226,11 @@ def k_tree_enumerate(k: int, n: int):
     """All k-trees on n vertices, one per isomorphism class.
 
     Each level attaches a vertex to every k-clique of every class of the
-    level below and keeps the first candidate of each canonical key.  A
-    clique that does not take the lowest members of each twin class of g is
-    skipped: its lowest-twin image is an isomorphic candidate that
-    `combinations` yields earlier from the same g, so the kept candidates
-    are unchanged.
+    level below, the cliques taken as stable sets of the complement in
+    `combinations` order, and keeps the first candidate of each canonical
+    key.  A clique that does not take the lowest members of each twin class
+    of g is skipped: its lowest-twin image is an isomorphic candidate that
+    comes earlier from the same g, so the kept candidates are unchanged.
     """
     if k < 1 or n < k:
         raise InvalidInput("need n >= k >= 1")
@@ -240,11 +240,10 @@ def k_tree_enumerate(k: int, n: int):
         seen: set[tuple[int, int]] = set()
         for g in level:
             lowest = set(_lowest_twin_masks(g.adj))
-            for clique in itertools.combinations(range(g.n), k):
-                m = mask_of(clique)
-                if m not in lowest or not is_clique(g, m):
+            for m in stable_sets(g.complement().adj, g.full_mask(), k):
+                if m not in lowest:
                     continue
-                cand = Graph.from_edges(g.n + 1, list(g.edges()) + [(u, g.n) for u in clique])
+                cand = Graph.from_edges(g.n + 1, list(g.edges()) + [(u, g.n) for u in bits(m)])
                 key = canonical_key(cand)
                 if key not in seen:
                     seen.add(key)

@@ -12,7 +12,7 @@ Graphs are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InvalidInput
 
@@ -212,31 +212,41 @@ def is_anticomplete_to(g: Graph, xs: Iterable[int] | int, ys: Iterable[int] | in
     return not (g.neighborhood(xm) & ym)
 
 
-def set_relation(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> str:
-    """One of "complete" / "anticomplete" / "mixed" for two disjoint sets.
+def stable_sets(rows: Sequence[int], pool: int, k: int) -> Iterator[int]:
+    """The k-subsets of the mask pool with no two members joined in rows, as
+    masks, in the order itertools.combinations gives over the sorted pool.
 
-    With no cross pairs at all (either side empty) both definitions hold
-    vacuously; "complete" is returned.
-    """
-    xm = check_vertex_set(g, xs)
-    ym = check_vertex_set(g, ys)
-    if xm & ym:
-        raise InvalidInput("set_relation requires disjoint sets")
-    total = 0
-    present = 0
-    for v in bits(xm):
-        total += ym.bit_count()
-        present += (g.adj[v] & ym).bit_count()
-    if present == total:
-        return "complete"
-    if present == 0:
-        return "anticomplete"
-    return "mixed"
-
-
-def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
-    xm = check_vertex_set(g, xs)
-    return not (g.neighborhood(xm) & xm)
+    rows[v] is the mask of the members v may not share a set with, as in
+    Graph.adj; its own bit is never read.  One loop with its own stack, so
+    k and the pool may be as large as a graph; k = 0 yields the empty set
+    once.  A branch with fewer candidates left than members still needed is
+    cut, which removes no set and keeps the order.  The one search behind
+    every "first stable k-set" question: bicliques, anticomplete families,
+    leaf grafts and the cliques of a k-tree (stable in the complement)."""
+    if k <= 0:
+        if k == 0:
+            yield 0
+        return
+    chosen = 0
+    members = []  # the bits of chosen, in the order they were taken
+    stack = [pool]  # stack[i]: the candidates left for member i
+    while stack:
+        cand = stack[-1]
+        depth = len(members)
+        if cand.bit_count() < k - depth:
+            stack.pop()
+            if members:
+                chosen ^= members.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        stack[-1] = cand
+        if depth + 1 == k:
+            yield chosen | low
+        else:
+            members.append(low)
+            chosen |= low
+            stack.append(cand & ~rows[low.bit_length() - 1])
 
 
 def is_clique(g: Graph, xs: Iterable[int] | int) -> bool:

@@ -78,6 +78,13 @@ def test_detect_membership():
     assert json.loads(out)["member"] is True
 
 
+def test_detect_biclique_on_long_cycle():
+    # no two vertices of C64 share 8 neighbors, so no side A is tried
+    _, g = run_cli(["gen", "cycle", "64"])
+    code, out = run_cli(["detect", "biclique", "--s", "8"], g)
+    assert code == 0 and json.loads(out)["found"] is False
+
+
 def test_validate_phantom_roundtrip():
     host, p = plant_phantom(complete(2), 2, 1)
     payload = json.dumps(
@@ -116,6 +123,21 @@ def test_extract_crystallized():
     assert code == 0
     rep = json.loads(out)
     assert rep["variant"] == "crystallized"
+
+
+def test_extract_clear_crystal_from_a_large_family():
+    # 1,000 side pairs, 1,000 of them chosen: one stack entry per member
+    host, c = plant_crystal(1, 1000)
+    payload = {
+        "graph": json.loads(dumps_graph(host)),
+        "crystal": crystal_to_json_obj(c),
+        "params": {"f": 1, "g": 500},
+    }
+    code, out = run_cli(["extract", "clear-crystal"], json.dumps(payload))
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["variant"] == "clear-crystal"
+    assert [len(side) for side in rep["payload"]["sides"]["2"]] == [500, 500]
 
 
 def test_extract_phantom_to_crystal():

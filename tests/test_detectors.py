@@ -17,12 +17,12 @@ from obslab.generators import (
     random_graph,
     wall,
 )
-from obslab.graph_core import Digraph, Graph, atoms, line_graph, set_relation
+from obslab.graph_core import Digraph, Graph, atoms, line_graph
 from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
 from .conftest import graphs
-from .subset_oracles import even_hole_by_subsets
+from .subset_oracles import even_hole_by_subsets, set_relation
 
 
 def _oracle_even_hole(g):

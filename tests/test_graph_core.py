@@ -20,11 +20,9 @@ from obslab.graph_core import (
     induced_subgraph,
     induces,
     is_anticomplete_to,
-    is_stable_set,
     line_graph,
     loads_graph,
     path_from_vertices,
-    set_relation,
     subdivide,
     subdivide_all,
     text_int,
@@ -34,6 +32,7 @@ from obslab.structures import Crystal, CrystalSpec, Kaleidoscope, Phantom, Struc
 from obslab.treewidth import DecompositionViolation, TreeDecomposition
 
 from .conftest import graphs
+from .subset_oracles import is_stable_set, set_relation
 
 
 def test_construction_rejects_bad_edges():
