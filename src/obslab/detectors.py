@@ -2,14 +2,14 @@
 
 Every searcher is exact: it returns a witness that re-validates against the
 structure's definition, or certifies absence by exhausting its search space.
-The hole-based structures (even hole, even wheel, theta, prism) have no
-clique cutset, so each lies inside one atom of the clique-cutset
-decomposition (graph_core.atoms), and their finders search atom by atom,
-each search inside g restricted to the atom's vertex mask: the atom list is
-the certificate of absence, and a chordal graph, certified by a perfect
-elimination order before any atom is computed, is the case where every atom
-is a clique.  Inputs beyond the vertex guard (or searches beyond
-the node budget) raise ScaleLimit rather than answering wrongly.
+The hole-based structures (even hole, even wheel, theta, prism) contain a
+hole and have no clique cutset, so each lies inside one atom of the
+clique-cutset decomposition (graph_core.atoms).  Their finders have one
+entry, _per_atom, which searches every atom that is not a clique, inside g
+restricted to the atom's vertex mask.  The atom list is the certificate of
+absence: a graph is chordal exactly when every atom is a clique.  Inputs
+beyond the vertex guard (or searches beyond the node budget) raise
+ScaleLimit rather than answering wrongly.
 
 Determinism: all searches iterate vertices in increasing index order and, for
 the cycle/path searchers, in increasing target length, so witnesses are
@@ -160,31 +160,26 @@ def find_hole(g: Graph) -> Witness | None:
     raise AssertionError("non-chordal graph must contain a hole")
 
 
-# -- hole-based finders: shared prologue, induced cycles, even hole and wheel ----
+# -- hole-based finders: the atom route, induced cycles, even hole and wheel ----
 
 
-def _start(g: Graph, guard: int, budget: int, what: str) -> _Budget | None:
-    """Prologue of the four hole-based finders: the scale guard, then None on
-    a chordal graph (each structure contains a hole, so a chordal graph has
-    none of them), else a fresh search budget."""
+def _per_atom(g: Graph, guard: int, budget: int, what: str, search):
+    """The one entry of the four hole-based finders: the scale guard, then
+    search(g, part, nodes) on the vertex mask part of every atom of g that
+    is not a clique; the smallest (measure, data) found, or None.  The
+    searched structures contain a hole and have no clique cutset, so each
+    lies inside one atom, and the smallest key in the search's own order is
+    the one the whole graph would give first.  An atom that is a clique has
+    no hole, and a graph whose atoms are all cliques is chordal: the atom
+    list is the certificate of absence.  One budget and one distance memo
+    cover every atom: a distance inside a mask depends only on g, the target
+    and the mask."""
     _check_scale(g, guard, what)
-    if is_chordal(g)[0]:
-        return None
-    return _Budget(budget, what)
-
-
-def _per_atom(g: Graph, budget: _Budget, search):
-    """search(g, part, budget) on the vertex mask part of every atom of g
-    that is not a clique: the smallest (measure, data) found, or None.  The
-    searched structures have no clique cutset, so each lies inside one atom,
-    and the smallest key in the search's own order is the one the whole
-    graph would give first.  An atom that is a clique has no hole.  One
-    budget and one distance memo cover every atom: a distance inside a mask
-    depends only on g, the target and the mask."""
+    nodes = _Budget(budget, what)
     best = None
     for part in atoms(g):
         if not is_clique(g, part):
-            found = search(g, part, budget)
+            found = search(g, part, nodes)
             if found is not None and (best is None or found < best):
                 best = found
     return best
@@ -222,8 +217,7 @@ def find_even_hole(
 ) -> Witness | None:
     """Shortest-first search for a hole on an even number of vertices, atom
     by atom."""
-    b = _start(g, guard, budget, "find_even_hole")
-    found = None if b is None else _per_atom(g, b, _first_even_hole)
+    found = _per_atom(g, guard, budget, "find_even_hole", _first_even_hole)
     if found is None:
         return None
     order = found[1]
@@ -251,11 +245,8 @@ def find_even_wheel(
     g: Graph, guard: int = DEFAULT_GUARD, budget: int = DEFAULT_BUDGET
 ) -> Witness | None:
     """One shortest-first pass over the holes of each atom for a rim with an
-    even hub; a graph without a vertex of degree >= 4 has none."""
-    b = _start(g, guard, budget, "find_even_wheel")
-    if b is None or all(g.degree(v) < 4 for v in range(g.n)):
-        return None
-    found = _per_atom(g, b, _first_even_wheel)
+    even hub."""
+    found = _per_atom(g, guard, budget, "find_even_wheel", _first_even_wheel)
     if found is None:
         return None
     order, h = found[1]
@@ -310,32 +301,36 @@ def _induced_paths(
     """src-dst paths of length 2..max_len, induced apart from a src-dst edge,
     whose interiors stay in the allowed mask: the induced paths when src and
     dst are not adjacent, the rest of a hole through that edge when they are.
-    Deterministic ascending-vertex order, distance pruned."""
+    Deterministic ascending-vertex order, distance pruned.  One loop with its
+    own stack, as in graph_core.stable_sets, so the budget, one node spent
+    for each path grown, is the only limit on the length of a path."""
     pool, dist = _to_dst(g, src, dst, interior_allowed, budget)
+    adj = g.adj
+    dbit = 1 << dst
     path = [src]
     pmask = 1 << src
-    dbit = 1 << dst
-
-    def extend(end: int, interior_ban: int) -> Iterator[tuple[int, ...]]:
-        nonlocal pmask
-        budget.spend()
+    budget.spend()
+    # per vertex of path: the candidates for the next vertex, and the
+    # neighbors of the path so far, which the vertices after it must avoid
+    stack = [(bits(adj[src] & pool), adj[src])]
+    while stack:
+        cands, ban = stack[-1]
         k = len(path)  # vertices so far; the next edge is number k
-        cand = g.adj[end] & pool & ~interior_ban & ~pmask
-        for v in bits(cand):
+        for v in cands:
             if dist[v] < 0 or k + dist[v] > max_len:
                 continue
-            touches_dst = bool(g.adj[v] & dbit)
+            if adj[v] & dbit:
+                yield (*path, v, dst)
+                # any continuation would leave a chord back to dst
+                continue
+            budget.spend()
             path.append(v)
             pmask |= 1 << v
-            if touches_dst:
-                yield (*path, dst)
-                # any continuation would leave a chord back to dst
-            else:
-                yield from extend(v, interior_ban | g.adj[end])
-            path.pop()
-            pmask ^= 1 << v
-
-    yield from extend(src, 0)
+            stack.append((bits(adj[v] & pool & ~ban & ~pmask), ban | adj[v]))
+            break
+        else:
+            stack.pop()
+            pmask ^= 1 << path.pop()
 
 
 def _anticomplete_paths(
@@ -391,12 +386,7 @@ def _shortest_three_paths(g: Graph, part: int, candidates: list, budget: _Budget
 
 def _claw_centre(g: Graph, v: int, part: int) -> bool:
     """Whether v has three pairwise non-adjacent neighbors inside part."""
-    nb = g.adj[v] & part
-    for x in bits(nb):
-        rest = nb & ~g.adj[x] & ~(1 << x)
-        if any(rest & ~g.adj[y] & ~(1 << y) for y in bits(rest)):
-            return True
-    return False
+    return next(stable_sets(g.adj, g.adj[v] & part, 3), None) is not None
 
 
 def _first_theta(g: Graph, part: int, budget: _Budget):
@@ -418,12 +408,8 @@ def find_theta(
     """Two non-adjacent ends joined by three induced paths of length >= 2 with
     pairwise disjoint, pairwise anticomplete interiors, atom by atom.  The
     paths' first interior vertices are three pairwise non-adjacent neighbors
-    of an end, so only a claw centre can be one: a claw-free graph has no
-    theta."""
-    b = _start(g, guard, budget, "find_theta")
-    if b is None or not any(_claw_centre(g, v, g.full_mask()) for v in range(g.n)):
-        return None
-    found = _per_atom(g, b, _first_theta)
+    of an end, so only a claw centre can be one."""
+    found = _per_atom(g, guard, budget, "find_theta", _first_theta)
     if found is None:
         return None
     (a, z), (p1, p2, p3) = found[1]
@@ -439,11 +425,13 @@ def find_theta(
     )
 
 
-def _triangles(g: Graph) -> list[tuple[int, int, int]]:
+def _triangles(g: Graph, part: int) -> list[tuple[int, int, int]]:
+    """The triangles inside the vertex mask part, as ascending triples in
+    lexicographic order."""
     out = []
-    for u in range(g.n):
-        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
-            common = g.adj[u] & g.adj[v]
+    for u in bits(part):
+        for v in bits(g.adj[u] & part >> (u + 1) << (u + 1)):
+            common = g.adj[u] & g.adj[v] & part
             for w in bits(common >> (v + 1) << (v + 1)):
                 out.append((u, v, w))
     return out
@@ -453,7 +441,7 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
     """(cap, ((t1, t2, matched), paths)) of the shortest-first prism inside
     part, or None: t1 before t2 in _triangles order, matched the permutation
     of t2 whose corners the paths reach."""
-    tris = [t for t in _triangles(g) if not mask_of(t) & ~part]
+    tris = _triangles(g, part)
     # per corner, the neighborhood of the other two corners of its triangle
     others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
     candidates = []
@@ -480,8 +468,7 @@ def find_prism(
     """Two disjoint triangles joined by three paths in the line-graph-of-theta
     pattern: paths pairwise anticomplete apart from their own triangle
     corners, atom by atom."""
-    b = _start(g, guard, budget, "find_prism")
-    found = None if b is None else _per_atom(g, b, _first_prism)
+    found = _per_atom(g, guard, budget, "find_prism", _first_prism)
     if found is None:
         return None
     (t1, _, t2), (p1, p2, p3) = found[1]
@@ -505,7 +492,7 @@ def find_prism(
 def max_clique(g: Graph, stop_at: int | None = None) -> tuple[int, ...]:
     """A maximum clique (or any clique of size stop_at, which ends the search
     early) by branch and bound with greedy coloring bounds."""
-    best: list[tuple[int, ...]] = [()]
+    best: tuple[int, ...] = ()
 
     def color_bound(pmask: int) -> list[tuple[int, int]]:
         order = []
@@ -521,30 +508,28 @@ def max_clique(g: Graph, stop_at: int | None = None) -> tuple[int, ...]:
                 work &= ~(1 << v)
         return order
 
-    def expand(rstack: list[int], pmask: int) -> bool:
-        if stop_at is not None and len(best[0]) >= stop_at:
-            return True
-        if not pmask:
-            if len(rstack) > len(best[0]):
-                best[0] = tuple(rstack)
-            return stop_at is not None and len(best[0]) >= stop_at
-        order = color_bound(pmask)
-        local = pmask
-        for v, color in reversed(order):
-            if len(rstack) + color <= len(best[0]):
-                return False
-            if not (local >> v) & 1:
-                continue
-            rstack.append(v)
-            if expand(rstack, local & g.adj[v]):
-                rstack.pop()
-                return True
-            rstack.pop()
-            local &= ~(1 << v)
-        return False
-
-    expand([], g.full_mask())
-    return tuple(sorted(best[0]))
+    # per open node: its candidates in reverse coloring order, and those of
+    # them not tried yet; clique holds the vertex that opened each node
+    # after the first
+    clique: list[int] = []
+    nodes = [[reversed(color_bound(g.full_mask())), g.full_mask()]]
+    while nodes and (stop_at is None or len(best) < stop_at):
+        node = nodes[-1]
+        step = next(node[0], None)
+        if step is None or len(clique) + step[1] <= len(best):
+            nodes.pop()
+            if clique:
+                clique.pop()
+            continue
+        v = step[0]
+        node[1] ^= 1 << v
+        pmask = node[1] & g.adj[v]
+        if pmask:
+            clique.append(v)
+            nodes.append([reversed(color_bound(pmask)), pmask])
+        elif len(clique) + 1 > len(best):
+            best = (*clique, v)
+    return tuple(sorted(best))
 
 
 def find_clique(g: Graph, c: int, guard: int = DEFAULT_GUARD) -> Witness | None:
@@ -561,16 +546,29 @@ def find_clique(g: Graph, c: int, guard: int = DEFAULT_GUARD) -> Witness | None:
     return None
 
 
+class _Rows(dict):
+    """rows[v] = row(v), computed when first read."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def __missing__(self, v: int) -> int:
+        got = self[v] = self.row(v)
+        return got
+
+
 def find_induced_biclique(g: Graph, s: int, t: int, guard: int = DEFAULT_GUARD) -> Witness | None:
     """An induced complete bipartite subgraph with stable sides of sizes s, t:
     the first side A, then the first side B, in combinations order.  Two
     members of A need t common neighbors, so each row of A's search also
-    bans the vertices that have fewer; that loses no side A."""
+    bans the vertices that have fewer; that loses no side A.  A row is built
+    when the search first reads it, so a search that ends early, or one with
+    s = 1, which reads none, builds few."""
     if s < 1 or t < 1:
         raise InvalidInput("biclique side sizes must be >= 1")
     _check_scale(g, guard, "find_induced_biclique")
     adj = g.adj
-    rows = [a | mask_of(u for u, b in enumerate(adj) if (a & b).bit_count() < t) for a in adj]
+    rows = _Rows(lambda v: adj[v] | mask_of(u for u, b in enumerate(adj) if (adj[v] & b).bit_count() < t))
     for am in stable_sets(rows, g.full_mask(), s):
         common = g.full_mask()
         for a in bits(am):

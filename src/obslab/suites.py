@@ -16,7 +16,7 @@ from . import generators as gen
 from . import structures as st
 from . import treewidth as tw
 from .errors import InvalidInput, ScaleLimit
-from .graph_core import Digraph, Graph, bits
+from .graph_core import Digraph, Graph, bits, is_clique, is_complete_to, mask_of
 from .rng import SplitMix
 
 
@@ -227,11 +227,7 @@ def _check_crystal_outcome(host, ph, out, f, g_par, r):
         base = sorted(ph.layers[0])
         ok = len(fam) == g_par
         for kq in fam:
-            ok = ok and len(kq) == r
-            ok = ok and all(host.has_edge(u, v) for u in kq for v in base)
-            ok = ok and all(
-                host.has_edge(a, b) for a in kq for b in kq if a < b
-            )
+            ok = ok and len(kq) == r and is_clique(host, kq) and is_complete_to(host, kq, base)
         return ok, {"variant": "clique-family"}
     return False, {"variant": "violation"}
 
@@ -262,17 +258,17 @@ def _cone_tree_shape_ok(host: Graph, ph: st.Phantom, tree: ext.ConeTree, d: int)
     kids: dict[int, list[int]] = {}
     for v, u in tree.parent.items():
         kids.setdefault(u, []).append(v)
+    if not all(is_complete_to(host, vs, (u,)) for u, vs in kids.items()):
+        return False
     for v, lv in tree.level.items():
         expect = d if lv < tree.r else 0
         if len(kids.get(v, [])) != expect:
             return False
-        if v != root and not host.has_edge(v, tree.parent[v]):
-            return False
+    # every anchor other than the root is joined to every other tree vertex
+    tree_mask = mask_of(tree.level)
     anchors = [a for a in (z1, z2, z) if a != root]
-    for v in tree.level:
-        for a in anchors:
-            if not host.has_edge(a, v) and v != a:
-                return False
+    if not all(is_complete_to(host, (a,), tree_mask & ~(1 << a)) for a in anchors):
+        return False
     for v, lv in tree.level.items():
         if v == root:
             continue

@@ -78,7 +78,7 @@ def theta_by_deepening(g: Graph):
 
 def prism_by_deepening(g: Graph):
     """((t1, t2), paths) of the shortest-first prism, or None."""
-    tris = _triangles(g)
+    tris = _triangles(g, g.full_mask())
     candidates = []
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1 :]:

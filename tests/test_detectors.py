@@ -17,7 +17,7 @@ from obslab.generators import (
     random_graph,
     wall,
 )
-from obslab.graph_core import Digraph, Graph, atoms, line_graph
+from obslab.graph_core import Digraph, Graph, atoms, is_clique, line_graph
 from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
@@ -368,14 +368,14 @@ def test_even_wheel_absence_is_one_pass():
         assert det.find_even_wheel(g, budget=10_000) is None
 
 
-def test_prologues_compute_no_atoms(monkeypatch):
-    # chordality, walls' maximum degree of 3 and line graphs' lack of a claw
-    # centre answer before any atom is computed, and the guard still applies
-    # to the whole graph
-    computed = []
-    monkeypatch.setattr(det, "atoms", lambda g: computed.append(g) or (g.full_mask(),))
+def test_atoms_certify_absence_without_search_nodes():
+    # a 3-tree's atoms are all cliques, a wall has no vertex of degree 4 and
+    # the line graph of a wall no claw centre, so each finder answers inside
+    # its atoms before any path is grown, and the guard still applies to the
+    # whole graph
     for seed in range(3):
         g = k_tree_random(3, 60, seed)
+        assert all(is_clique(g, part) for part in atoms(g))
         for finder in (det.find_even_hole, det.find_even_wheel, det.find_theta, det.find_prism):
             assert finder(g, budget=0) is None
     assert det.find_even_wheel(wall(6), guard=100, budget=0) is None
@@ -383,7 +383,20 @@ def test_prologues_compute_no_atoms(monkeypatch):
     assert det.find_theta(g, guard=128, budget=0) is None
     with pytest.raises(ScaleLimit):
         det.find_even_hole(cycle(70))
-    assert computed == []
+
+
+def test_long_hole_is_grown_on_the_search_stack():
+    # the hole is one induced path through all 1,000 vertices: the node
+    # budget, not the interpreter's recursion limit, bounds how deep it grows
+    g = cycle(1000)
+    w = det.find_even_hole(g, guard=1000)
+    assert w is not None and w.vertices == tuple(range(1000)) and det.validate_witness(g, w)
+
+
+def test_large_clique_is_grown_on_the_search_stack():
+    g = complete(1000)
+    w = det.find_clique(g, 1000, guard=1000)
+    assert w is not None and w.vertices == tuple(range(1000)) and det.validate_witness(g, w)
 
 
 def test_even_wheel_needs_a_hub_of_degree_four():
