@@ -425,23 +425,13 @@ def find_theta(
     )
 
 
-def _triangles(g: Graph, part: int) -> list[tuple[int, int, int]]:
-    """The triangles inside the vertex mask part, as ascending triples in
-    lexicographic order."""
-    out = []
-    for u in bits(part):
-        for v in bits(g.adj[u] & part >> (u + 1) << (u + 1)):
-            common = g.adj[u] & g.adj[v] & part
-            for w in bits(common >> (v + 1) << (v + 1)):
-                out.append((u, v, w))
-    return out
-
-
 def _first_prism(g: Graph, part: int, budget: _Budget):
     """(cap, ((t1, t2, matched), paths)) of the shortest-first prism inside
-    part, or None: t1 before t2 in _triangles order, matched the permutation
-    of t2 whose corners the paths reach."""
-    tris = _triangles(g, part)
+    part, or None: t1 before t2 among the triangles inside part, ascending
+    triples in lexicographic order (the stable 3-sets of the complement,
+    whose rows ~g.adj[v] cost less than a complement graph per atom),
+    matched the permutation of t2 whose corners the paths reach."""
+    tris = [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], part, 3)]
     # per corner, the neighborhood of the other two corners of its triangle
     others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
     candidates = []
@@ -645,71 +635,78 @@ def k_forest_order(h: Graph, k: int) -> list[int] | None:
 
 def contains_induced(g: Graph, h: Graph, guard: int = DEFAULT_GUARD) -> dict[int, int] | None:
     """Injective map of h into g preserving adjacency and non-adjacency, or
-    certified absence, by backtracking with degree and neighborhood pruning."""
+    certified absence, by forward checking (Ullmann 1976; Haralick and
+    Elliott 1980).  Pattern vertices go most placed neighbors first, then
+    highest degree, then lowest index.  Each unplaced one keeps a mask of
+    the host vertices of at least its degree inside each placed neighbor's
+    host row and outside each placed non-neighbor's closed host row; a try
+    that empties one is cut, so trying candidates in ascending order finds
+    plain backtracking's first embedding.  One loop with its own stack."""
     if h.n > g.n:
         raise InvalidInput("pattern has more vertices than the host")
     _check_scale(g, guard, "contains_induced")
-    if h.n == 0:
-        return {}
-    # order: most-constrained first, then prefer vertices touching the assigned prefix
-    first = max(range(h.n), key=lambda v: (h.degree(v), -v))
-    order = [first]
-    placed = {first}
-    while len(order) < h.n:
-        cand = max(
-            (v for v in range(h.n) if v not in placed),
-            key=lambda v: (sum(1 for u in h.neighbors(v) if u in placed), h.degree(v), -v),
-        )
-        order.append(cand)
-        placed.add(cand)
-    gdeg = [g.degree(v) for v in range(g.n)]
-    assign: dict[int, int] = {}
-
-    def backtrack(i: int, used: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        pool = ~used & g.full_mask()
-        for w in h.neighbors(u):
-            if w in assign:
-                pool &= g.adj[assign[w]]
-        for w in range(h.n):
-            if w in assign and w not in h.neighbors(u) and w != u:
-                pool &= ~g.adj[assign[w]]
-        du = h.degree(u)
-        for v in bits(pool):
-            if gdeg[v] < du:
-                continue
-            assign[u] = v
-            if backtrack(i + 1, used | (1 << v)):
-                return True
-            del assign[u]
-        return False
-
-    if backtrack(0, 0):
-        return dict(assign)
+    deg = [a.bit_count() for a in h.adj]
+    rank = [[0, d, -v] for v, d in enumerate(deg)]  # [placed neighbors, degree, -index]
+    left = set(range(h.n))
+    order = []
+    while left:
+        u = max(left, key=rank.__getitem__)
+        left.remove(u)
+        order.append(u)
+        for w in bits(h.adj[u]):
+            rank[w][0] += 1
+    room = {d: mask_of(v for v, a in enumerate(g.adj) if a.bit_count() >= d) for d in set(deg)}
+    host = [0] * h.n  # host[i]: the host vertex of order[i]
+    # per open node with i vertices placed: the masks of order[i:], the first
+    # holding what order[i] has not tried; a node is replaced by its child
+    # once its last candidate is tried, so only nodes with one left are kept
+    stack = [[room[deg[u]] for u in order]]
+    while stack:
+        cands = stack[-1]
+        if not cands:
+            return dict(zip(order, host))
+        if not cands[0]:
+            stack.pop()
+            continue
+        low = cands[0] & -cands[0]
+        cands[0] ^= low
+        i = h.n - len(cands)
+        host[i] = v = low.bit_length() - 1
+        row, ban, hrow = g.adj[v], ~(g.adj[v] | low), h.adj[order[i]]
+        child = [m & (row if hrow >> u & 1 else ban) for u, m in zip(order[i + 1 :], cands[1:])]
+        if all(child):
+            if cands[0]:
+                stack.append(child)
+            else:
+                stack[-1] = child
     return None
 
 
 # -- Ramsey-type primitives ------------------------------------------------------------------------
 
 
+def capped_power(c: int, e: int, cap: int) -> int:
+    """c**e when that is at most cap, else some number above it (c, e >= 0):
+    for c >= 2, c**cap.bit_length() is past cap, so no more is raised."""
+    return c ** min(e, cap.bit_length())
+
+
 def find_clique_or_stable(
     g: Graph, c: int, s: int, guard: int = DEFAULT_GUARD
 ) -> tuple[str, Witness | None]:
-    """("clique", w) or ("stable", w); ("neither", None) is legal only below
-    the c**s guarantee threshold, above it the search must succeed."""
+    """("clique", w) or ("stable", w), the stable set the first in
+    combinations order; ("neither", None) is legal only below the c**s
+    guarantee threshold, above it the search must succeed."""
+    if c < 1 or s < 1:
+        raise InvalidInput(f"clique size c and stable set size s must be >= 1, got c={c}, s={s}")
     w = find_clique(g, c, guard)
     if w is not None:
         return "clique", w
-    wc = find_clique(g.complement(), s, guard)
-    if wc is not None:
-        verts = wc.vertices
-        return "stable", Witness("stable", verts, {v: "stable" for v in verts})
-    if g.n >= c**s:
-        raise AssertionError(
-            f"no {c}-clique and no stable {s}-set on {g.n} >= {c}**{s} vertices: detector bug"
-        )
+    found = next(stable_sets(g.adj, g.full_mask(), s), None)
+    if found is not None:
+        return "stable", Witness("stable", tuple(bits(found)), dict.fromkeys(bits(found), "stable"))
+    if g.n >= capped_power(c, s, g.n):
+        raise AssertionError(f"no {c}-clique and no stable {s}-set on {g.n} >= {c}**{s} vertices")
     return "neither", None
 
 
@@ -735,31 +732,33 @@ def acyclic_tournament_or_stable(
     d: Digraph, c: int, s: int, guard: int = DEFAULT_GUARD
 ) -> tuple[str, tuple[int, ...] | None]:
     """("tournament", chain) with every forward arc present along the chain,
-    or ("stable", set) with no arcs at all among the set; ("neither", None)
-    only below the c**(c**s) guarantee threshold."""
+    the first depth first with lowest vertices first, or ("stable", set) with
+    no arcs among the set, the first in combinations order; ("neither",
+    None) only below the c**(c**s) guarantee threshold."""
+    if c < 1 or s < 1:
+        raise InvalidInput(f"chain length c and stable set size s must be >= 1, got c={c}, s={s}")
     _check_scale(d, guard, "acyclic_tournament_or_stable")
+    full = (1 << d.n) - 1
     chain: list[int] = []
-
-    def grow(pool: int) -> bool:
-        if len(chain) == c:
-            return True
-        for v in bits(pool):
-            chain.append(v)
-            if grow(pool & d.out[v] & ~(1 << v)):
-                return True
+    # per open level: the pool of its vertex and the part of it not tried
+    # yet; level k > 0 was opened by chain[k - 1]
+    levels = [(full, full)]
+    while levels and len(chain) < c:
+        pool, untried = levels.pop()
+        if untried:
+            low = untried & -untried
+            chain.append(low.bit_length() - 1)
+            nxt = pool & d.out[chain[-1]] & ~low
+            levels += [(pool, untried ^ low), (nxt, nxt)]
+        elif chain:
             chain.pop()
-        return False
-
-    if grow((1 << d.n) - 1):
+    if len(chain) == c:
         return "tournament", tuple(chain)
-    underlying = Graph(d.n, tuple(d.out[v] | d.inn[v] for v in range(d.n)))
-    w = find_clique(underlying.complement(), s, guard)
-    if w is not None:
-        return "stable", w.vertices
-    if d.n >= c ** (c**s):
-        raise AssertionError(
-            f"no transitive {c}-chain and no arcless {s}-set on {d.n} vertices: detector bug"
-        )
+    found = next(stable_sets([o | i for o, i in zip(d.out, d.inn)], full, s), None)
+    if found is not None:
+        return "stable", tuple(bits(found))
+    if d.n >= capped_power(c, capped_power(c, s, d.n.bit_length()), d.n):
+        raise AssertionError(f"no transitive {c}-chain and no arcless {s}-set on {d.n} vertices")
     return "neither", None
 
 

@@ -257,6 +257,7 @@ def k_tree_enumerate(k: int, n: int):
 
 def random_graph(n: int, seed: int, num: int = 1, den: int = 2) -> Graph:
     """Seeded Erdos-Renyi-style graph with edge probability num/den."""
+    check_vertex_count(n)
     rng = SplitMix(seed)
     edges = [
         (i, j) for i in range(n) for j in range(i + 1, n) if rng.chance(num, den)
@@ -265,6 +266,7 @@ def random_graph(n: int, seed: int, num: int = 1, den: int = 2) -> Graph:
 
 
 def random_digraph(n: int, seed: int, num: int = 1, den: int = 2):
+    check_vertex_count(n)
     rng = SplitMix(seed)
     arcs = [
         (i, j) for i in range(n) for j in range(n) if i != j and rng.chance(num, den)

@@ -522,7 +522,7 @@ class Digraph:
 
     @classmethod
     def from_arcs(cls, n: int, arcs: Iterable[tuple[int, int]]) -> "Digraph":
-        out = [0] * n
+        out = [0] * check_vertex_count(n)
         inn = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):

@@ -288,10 +288,8 @@ def suite_ramsey(c: int = 3, s: int = 2, seed: int = 0, samples: int = 300) -> l
     """Never-"neither" checks for the two Ramsey-type searchers: exhaustive
     over all isomorphism classes where the threshold is enumerable, seeded
     corpora with extremal members at the stated thresholds beyond that."""
-    # c**s when that is within the guard and past the guard otherwise: for
-    # c >= 2 the power c**guard.bit_length() is already past it, so a large s
-    # is never raised in full
-    thresh = c ** min(s, det.DEFAULT_GUARD.bit_length())
+    # c**s when that is within the guard, some number past it otherwise
+    thresh = det.capped_power(c, s, det.DEFAULT_GUARD)
     if thresh > det.DEFAULT_GUARD:
         raise ScaleLimit(f"suite_ramsey: threshold {c}**{s} exceeds the guard of {det.DEFAULT_GUARD}")
     records = []

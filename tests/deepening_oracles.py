@@ -4,12 +4,24 @@ The route the finders took before distances were memoised and deepening
 started at the first feasible cap: every candidate is searched at every cap
 from 2 (theta) or 1 (prism) up, and every induced-path search computes its
 own distances.  Same candidate order, so same witnesses; no search budget.
+The prism's triangles come from a plain loop over edges and common
+neighbors, not from the stable-set search the finder uses.
 """
 
 from itertools import permutations
 
-from obslab.detectors import _triangles
 from obslab.graph_core import Graph, bits, mask_of
+
+
+def triangles(g: Graph) -> list[tuple[int, int, int]]:
+    """Every triangle of g as an ascending triple, in lexicographic order:
+    for each edge u < v, each common neighbor above v."""
+    out = []
+    for u in range(g.n):
+        for v in bits(g.adj[u] >> (u + 1) << (u + 1)):
+            for w in bits((g.adj[u] & g.adj[v]) >> (v + 1) << (v + 1)):
+                out.append((u, v, w))
+    return out
 
 
 def _closed(g: Graph, mask: int) -> int:
@@ -78,7 +90,7 @@ def theta_by_deepening(g: Graph):
 
 def prism_by_deepening(g: Graph):
     """((t1, t2), paths) of the shortest-first prism, or None."""
-    tris = _triangles(g, g.full_mask())
+    tris = triangles(g)
     candidates = []
     for i, t1 in enumerate(tris):
         for t2 in tris[i + 1 :]:

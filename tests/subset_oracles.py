@@ -1,10 +1,13 @@
-"""Subset-scan oracles for the hole-based detectors and the stable-set
-searches.
+"""Subset-scan and recursive oracles for the hole-based detectors, the
+stable-set searches, induced copies and tournament chains.
 
 Each scan tries every vertex subset in increasing size, or every k-subset
 in `combinations` order, so it is exact but exponential; the tests compare
 the path-growing detectors and `graph_core.stable_sets` against it on small
-graphs.
+graphs.  `induced_copy_by_recursion` and `chain_by_recursion` are the plain
+recursive backtracking that `detectors.contains_induced` and
+`detectors.acyclic_tournament_or_stable` ran before their searches kept
+their own stacks; the tests compare the first embedding and the first chain.
 """
 
 from itertools import combinations
@@ -12,7 +15,7 @@ from typing import Iterable
 
 from obslab.detectors import Witness
 from obslab.errors import InvalidInput
-from obslab.graph_core import Graph, bits, check_vertex_set, mask_of
+from obslab.graph_core import Digraph, Graph, bits, check_vertex_set, mask_of
 
 
 def is_stable_set(g: Graph, xs: Iterable[int]) -> bool:
@@ -109,3 +112,60 @@ def even_hole_by_subsets(g: Graph) -> Witness | None:
                     "even-hole", subset, {v: "hole" for v in subset}, (("cycle", order),)
                 )
     return None
+
+
+def induced_copy_by_recursion(g: Graph, h: Graph) -> dict[int, int] | None:
+    """The first injective map of h into g preserving adjacency and
+    non-adjacency: pattern vertices placed highest degree first, then most
+    placed neighbors, then highest degree, then lowest index; each takes
+    the host vertices of at least its degree in ascending order, and every
+    placed vertex's row is re-read at every node."""
+    if h.n == 0:
+        return {}
+    first = max(range(h.n), key=lambda v: (h.degree(v), -v))
+    order = [first]
+    placed = {first}
+    while len(order) < h.n:
+        cand = max(
+            (v for v in range(h.n) if v not in placed),
+            key=lambda v: (sum(1 for u in h.neighbors(v) if u in placed), h.degree(v), -v),
+        )
+        order.append(cand)
+        placed.add(cand)
+    assign: dict[int, int] = {}
+
+    def backtrack(i: int, used: int) -> bool:
+        if i == len(order):
+            return True
+        u = order[i]
+        pool = ~used & g.full_mask()
+        for w, v in assign.items():
+            pool &= g.adj[v] if h.has_edge(u, w) else ~g.adj[v]
+        for v in bits(pool):
+            if g.degree(v) < h.degree(u):
+                continue
+            assign[u] = v
+            if backtrack(i + 1, used | (1 << v)):
+                return True
+            del assign[u]
+        return False
+
+    return dict(assign) if backtrack(0, 0) else None
+
+
+def chain_by_recursion(d: Digraph, c: int) -> tuple[int, ...] | None:
+    """The first c vertices with an arc from each to every later one, depth
+    first with the lowest vertex tried first."""
+    chain: list[int] = []
+
+    def grow(pool: int) -> bool:
+        if len(chain) == c:
+            return True
+        for v in bits(pool):
+            chain.append(v)
+            if grow(pool & d.out[v] & ~(1 << v)):
+                return True
+            chain.pop()
+        return False
+
+    return tuple(chain) if grow((1 << d.n) - 1) else None

@@ -232,6 +232,14 @@ def test_verify_ramsey_refuses_a_threshold_past_the_guard(c, s, monkeypatch, cap
     assert capsys.readouterr().err.startswith("scale limit:")
 
 
+@pytest.mark.parametrize("c, s", [("3", "0"), ("0", "2")])
+def test_verify_ramsey_names_the_size_below_one(c, s, capsys):
+    code, out = run_cli(["verify", "ramsey", "--c", c, "--s", s])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"invalid input: clique size c and stable set size s must be >= 1, got c={c}, s={s}\n"
+
+
 def test_verify_class_containment_refuses_past_the_enumeration_limit(monkeypatch, capsys):
     def unbuilt(*args, **kwargs):
         raise AssertionError("graphs were enumerated before the limit was checked")

@@ -8,14 +8,25 @@ from itertools import combinations
 from hypothesis import given, settings
 
 from obslab import detectors as det
-from obslab.generators import basic_obstruction, enumerate_graphs, k_tree_random, random_graph
-from obslab.graph_core import Graph, mask_of
+from obslab.generators import (
+    basic_obstruction,
+    enumerate_graphs,
+    k_tree_random,
+    random_digraph,
+    random_graph,
+)
+from obslab.graph_core import Graph, bits, mask_of, stable_sets
 from obslab.rng import SplitMix
 
 from .conftest import graphs
-from .deepening_oracles import prism_by_deepening, theta_by_deepening
+from .deepening_oracles import prism_by_deepening, theta_by_deepening, triangles
 from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles, hole_by_shortest_path
-from .subset_oracles import even_hole_by_subsets, is_cycle_subset
+from .subset_oracles import (
+    chain_by_recursion,
+    even_hole_by_subsets,
+    induced_copy_by_recursion,
+    is_cycle_subset,
+)
 
 
 def _theta_patterns(max_n=8):
@@ -196,6 +207,53 @@ def test_three_path_finders_match_plain_deepening():
                 found += w is not None
     # theta in each wall and biclique, prism in each line graph
     assert found == 4 * 3
+
+
+def test_contains_induced_matches_recursive_backtracking():
+    # forward checking against the recursive search it replaced: the same
+    # first embedding on every (class on <= 6 vertices, pattern class on
+    # <= 4 vertices) pair and on seeded random pairs
+    hosts = [g for n in range(1, 7) for g in enumerate_graphs(n)]
+    patterns = [Graph(0, ()), *(p for n in range(1, 5) for p in enumerate_graphs(n))]
+    pairs = [(g, p) for g in hosts for p in patterns if p.n <= g.n]
+    rng = SplitMix(41)
+    for _ in range(400):
+        g = random_graph(5 + rng.below(12), rng.next_u64(), 1 + rng.below(9), 10)
+        pairs.append((g, random_graph(1 + rng.below(5), rng.next_u64(), 1 + rng.below(9), 10)))
+    found = 0
+    for g, p in pairs:
+        emb = det.contains_induced(g, p)
+        assert emb == induced_copy_by_recursion(g, p)
+        found += emb is not None
+    assert 0 < found < len(pairs)
+
+
+def test_chain_matches_recursive_search():
+    # the chain search on its own stack against the recursion it replaced
+    rng = SplitMix(43)
+    chains = 0
+    for _ in range(400):
+        d = random_digraph(2 + rng.below(11), rng.next_u64(), 1 + rng.below(9), 10)
+        c = 1 + rng.below(6)
+        tag, got = det.acyclic_tournament_or_stable(d, c, 1 + rng.below(3))
+        want = chain_by_recursion(d, c)
+        assert (got if tag == "tournament" else None) == want
+        chains += want is not None
+    assert 0 < chains < 400
+
+
+def test_prism_triangles_match_the_plain_loop():
+    # find_prism lists the triangles inside an atom as the stable 3-sets of
+    # the complement, rows ~g.adj[v]: the plain loop's triangles inside the
+    # atom, in the loop's order
+    rng = SplitMix(53)
+    graphs_ = [g for n in range(3, 8) for g in enumerate_graphs(n)]
+    graphs_ += [random_graph(8 + rng.below(30), rng.next_u64(), 1 + rng.below(9), 10) for _ in range(60)]
+    for g in graphs_:
+        part = rng.next_u64() & g.full_mask()
+        for pool in (g.full_mask(), part):
+            want = [t for t in triangles(g) if mask_of(t) & pool == mask_of(t)]
+            assert [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], pool, 3)] == want
 
 
 def test_pattern_library_sizes():

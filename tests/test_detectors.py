@@ -17,7 +17,7 @@ from obslab.generators import (
     random_graph,
     wall,
 )
-from obslab.graph_core import Digraph, Graph, atoms, is_clique, line_graph
+from obslab.graph_core import Digraph, Graph, atoms, bits, induces, is_clique, line_graph
 from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
@@ -399,6 +399,23 @@ def test_large_clique_is_grown_on_the_search_stack():
     assert w is not None and w.vertices == tuple(range(1000)) and det.validate_witness(g, w)
 
 
+def test_long_induced_copy_is_placed_on_the_search_stack():
+    # one search node per placed pattern vertex, far past the interpreter's
+    # recursion limit
+    p = path_graph(1100)
+    emb = det.contains_induced(p, p, guard=1100)
+    assert emb is not None and sorted(emb.values()) == list(range(1100))
+    assert induces(p, [emb[v] for v in range(1100)], ((emb[u], emb[v]) for u, v in p.edges()))
+
+
+def test_long_chain_is_grown_on_the_search_stack():
+    # the transitive tournament 0 -> 1 -> ... -> 1099, every forward arc present
+    n = 1100
+    full = (1 << n) - 1
+    d = Digraph(n, tuple(full ^ ((2 << v) - 1) for v in range(n)), tuple((1 << v) - 1 for v in range(n)))
+    assert det.acyclic_tournament_or_stable(d, n, 2, guard=n) == ("tournament", tuple(range(n)))
+
+
 def test_even_wheel_needs_a_hub_of_degree_four():
     # walls are full of holes but have maximum degree 3, so no hole is read
     for t in (4, 6):
@@ -457,6 +474,53 @@ def test_clique_or_stable():
     assert tag == "stable"
     tag, w = det.find_clique_or_stable(complete(2), 3, 2)
     assert tag == "neither" and w is None  # below the guarantee threshold
+
+
+@pytest.mark.parametrize("c, s", [(0, 2), (2, 0), (-1, 3), (3, -1)])
+def test_ramsey_primitives_reject_sizes_below_one(c, s):
+    # with c = -1 the chain search would never stop early: on the complete
+    # 10-vertex digraph it walked every chain
+    every_arc = Digraph.from_arcs(10, itertools.permutations(range(10), 2))
+    with pytest.raises(InvalidInput, match=f"size s must be >= 1, got c={c}, s={s}"):
+        det.find_clique_or_stable(complete(3), c, s)
+    with pytest.raises(InvalidInput, match=f"chain length c and stable set size s .* got c={c}, s={s}"):
+        det.acyclic_tournament_or_stable(every_arc, c, s)
+
+
+def test_ramsey_thresholds_are_never_raised_in_full():
+    assert det.capped_power(3, 2, 9) == 9
+    assert det.capped_power(3, 3, 9) > 9
+    assert det.capped_power(1, 10**18, 5) == 1
+    assert det.capped_power(2, 10**18, 64) > 64
+    # below c**s and c**(c**s) with s = 1000: the powers have 478 and about
+    # 10**477 digits, and neither is computed
+    assert det.find_clique_or_stable(complete(2), 3, 1000) == ("neither", None)
+    assert det.acyclic_tournament_or_stable(Digraph.from_arcs(5, [(0, 1)]), 3, 1000) == ("neither", None)
+
+
+def _first_stable(g, s):
+    return next((c for c in itertools.combinations(range(g.n), s) if induces(g, c, ())), None)
+
+
+def test_ramsey_stable_sets_are_the_first_in_combinations_order():
+    rng = SplitMix(47)
+    stable = 0
+    for _ in range(150):
+        g = random_graph(4 + rng.below(9), rng.next_u64(), 1 + rng.below(9), 10)
+        c, s = 2 + rng.below(3), 2 + rng.below(3)
+        tag, w = det.find_clique_or_stable(g, c, s)
+        if tag != "neither":
+            assert w.kind == tag and det.validate_witness(g, w)
+        if tag == "stable":
+            stable += 1
+            assert w.vertices == _first_stable(g, s)
+        d = random_digraph(4 + rng.below(9), rng.next_u64(), 1 + rng.below(9), 10)
+        tag, got = det.acyclic_tournament_or_stable(d, c, s)
+        if tag == "stable":
+            stable += 1
+            underlying = Graph.from_edges(d.n, {tuple(sorted((u, v))) for u in range(d.n) for v in bits(d.out[u])})
+            assert det.validate_witness(underlying, det.Witness("stable", got)) and got == _first_stable(underlying, s)
+    assert stable > 30
 
 
 def test_anticomplete_family():

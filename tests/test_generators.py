@@ -27,6 +27,8 @@ from obslab.generators import (
     plant_crystal,
     plant_phantom,
     plant_phantom_in,
+    random_digraph,
+    random_graph,
     seeded_subdivision,
     tree_T,
     wall,
@@ -57,6 +59,8 @@ def test_complete_and_biclique():
         (k_tree_random, (2, MAX_VERTICES + 1, 0)),
         (plant_phantom_in, (complete(3), (0, 1, 2), 4_000, 1)),
         (plant_crystal, (MAX_VERTICES, 1)),
+        (random_graph, (10**12, 0)),
+        (random_digraph, (10**12, 0)),
     ],
 )
 def test_vertex_count_is_capped_before_any_edge(build, args, monkeypatch):

@@ -48,6 +48,12 @@ def test_vertex_count_is_capped():
     assert Graph.from_edges(MAX_VERTICES, []).n == MAX_VERTICES
 
 
+def test_arc_count_is_capped_before_any_row():
+    with pytest.raises(InvalidInput, match="vertex count"):
+        Digraph.from_arcs(10**12, [])
+    assert Digraph.from_arcs(MAX_VERTICES, []).n == MAX_VERTICES
+
+
 @pytest.mark.parametrize("word", ["", "+1", "-1", " 1", "1 ", "1_0", "\u0661", "1.0"])
 def test_text_int_takes_ascii_digits_only(word):
     with pytest.raises(InvalidInput):
