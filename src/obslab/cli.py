@@ -218,7 +218,9 @@ def cmd_validate(args) -> int:
     else:  # decomposition, the last of the parser's choices
         if not isinstance(data, str):
             raise InvalidInput("'decomposition' must be PACE-style text")
-        td, _ = tw.from_pace(data)
+        td, n = tw.from_pace(data)
+        if n != g.n:
+            raise InvalidInput(f"the decomposition's header counts {n} vertices, the graph has {g.n}")
         bad = tw.verify_decomposition(g, td)
         if bad is not None:
             bad = st.StructureViolation(bad.axiom, bad.detail)

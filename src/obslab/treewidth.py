@@ -4,6 +4,8 @@ upper and lower bounds for graphs beyond the exact range.
 The exact solver runs a subset dynamic program over elimination prefixes:
 the best achievable width of a prefix S extends by any next vertex v at cost
 |reach(S, v)|, the set of outside vertices v sees directly or through S.
+Degeneracy bounds it below and one elimination game above; the same game
+turns any elimination order into its decomposition.
 Bound-sandwich shortcuts and pruning by the heuristic upper bound keep the
 table small on the sparse inputs this package cares about.  When the
 sandwich does not close, a graph with a clique cutset is solved atom by atom
@@ -13,8 +15,6 @@ clique separators; the width is the largest over the atoms.
 
 from __future__ import annotations
 
-
-from .detectors import max_clique
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import Graph, Record, atoms, bits, induced_subgraph, mask_of, text_int
 
@@ -50,92 +50,87 @@ def _reach_mask(g: Graph, prefix: int, v: int) -> int:
     return reach & ~prefix & ~(1 << v)
 
 
-def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
-    """Standard fill-in decomposition: one bag per vertex, linked to the bag
-    of the earliest-eliminated vertex it still sees."""
-    n = g.n
-    if n == 0:
-        return TreeDecomposition((frozenset(),), ())
-    pos = {v: i for i, v in enumerate(order)}
-    prefix = 0
-    bag_masks = []
-    for v in order:
-        bag_masks.append(_reach_mask(g, prefix, v) | (1 << v))
-        prefix |= 1 << v
-    edges = []
-    for i, v in enumerate(order):
-        rest = bag_masks[i] & ~(1 << v)
-        if rest:
-            j = min(pos[u] for u in bits(rest))
-            edges.append((i, j))
-        elif i + 1 < n:
-            edges.append((i, i + 1))
-    bags = tuple(frozenset(bits(bm)) for bm in bag_masks)
-    return TreeDecomposition(bags, tuple(sorted(tuple(sorted(e)) for e in edges)))
-
-
-def _greedy_order(g: Graph, rule: str) -> list[int]:
-    """Elimination order by min-degree or min-fill on the evolving fill graph."""
-    n = g.n
+def _eliminate(g: Graph, choose) -> TreeDecomposition:
+    """The elimination game: choose(adj, active) names the next vertex, whose
+    bag is itself and its active fill-graph neighbours, the vertices it
+    reaches through earlier ones (Rose, Tarjan and Lueker, SIAM J. Comput. 5,
+    1976); they are then made a clique.  A bag links to the bag of its first
+    other vertex to go, else to the next bag.  No vertices give the single
+    empty bag of width -1."""
     adj = list(g.adj)
     active = g.full_mask()
     order = []
-    for _ in range(n):
-        best_key = None
-        best_v = -1
-        for v in bits(active):
-            nb = adj[v] & active
-            if rule == "degree":
-                key = (nb.bit_count(), v)
-            else:
-                fill = 0
-                for u in bits(nb):
-                    fill += (nb & ~adj[u] & ~(1 << u)).bit_count()
-                key = (fill // 2, nb.bit_count(), v)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        v = best_v
+    bag_masks = []
+    while active:
+        v = choose(adj, active)
         nb = adj[v] & active
         for u in bits(nb):
             adj[u] |= nb & ~(1 << u)
         active &= ~(1 << v)
         order.append(v)
-    return order
+        bag_masks.append(nb | (1 << v))
+    pos = {v: i for i, v in enumerate(order)}
+    edges = []
+    for i, v in enumerate(order):
+        rest = bag_masks[i] & ~(1 << v)
+        if rest:
+            edges.append((i, min(pos[u] for u in bits(rest))))
+        elif i + 1 < len(order):
+            edges.append((i, i + 1))
+    bags = tuple(frozenset(bits(bm)) for bm in bag_masks) or (frozenset(),)
+    return TreeDecomposition(bags, tuple(edges))
 
 
-def degeneracy(g: Graph) -> int:
-    """Max over the min-degree removal sequence; a treewidth lower bound."""
-    active = g.full_mask()
-    out = 0
-    for _ in range(g.n):
-        v = min(bits(active), key=lambda u: ((g.adj[u] & active).bit_count(), u))
-        out = max(out, (g.adj[v] & active).bit_count())
-        active &= ~(1 << v)
-    return out
+def decomposition_from_order(g: Graph, order: list[int]) -> TreeDecomposition:
+    """The elimination game played in the given order of every vertex."""
+    if sorted(order) != list(range(g.n)):
+        raise InvalidInput(f"an elimination order lists each of the {g.n} vertices once")
+    steps = iter(order)
+    return _eliminate(g, lambda adj, active: next(steps))
+
+
+def _min_fill(adj: list[int], active: int) -> int:
+    """The active vertex whose elimination adds the fewest fill edges, then
+    the one of least degree, then the lowest."""
+    best_key = None
+    for v in bits(active):
+        nb = adj[v] & active
+        fill = 0
+        for u in bits(nb):
+            fill += (nb & ~adj[u] & ~(1 << u)).bit_count()
+        key = (fill, nb.bit_count())
+        if best_key is None or key < best_key:
+            best_key = key
+            best_v = v
+    return best_v
+
+
+def _min_degree(adj: list[int], active: int) -> int:
+    """The lowest active vertex of least degree in the fill graph."""
+    return min(bits(active), key=lambda v: (adj[v] & active).bit_count())
 
 
 def tw_upper(g: Graph) -> tuple[int, TreeDecomposition]:
-    """Best of min-fill and min-degree elimination, with its decomposition."""
-    if g.n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
-    best = None
-    for rule in ("fill", "degree"):
-        order = _greedy_order(g, rule)
-        td = decomposition_from_order(g, order)
-        if best is None or td.width < best[0]:
-            best = (td.width, td)
-    return best
+    """The min-fill game, or the min-degree game where it is strictly
+    narrower (Bodlaender and Koster, "Treewidth computations I. Upper
+    bounds", Inf. Comput. 208, 2010), with its decomposition."""
+    fill = _eliminate(g, _min_fill)
+    degree = _eliminate(g, _min_degree)
+    best = degree if degree.width < fill.width else fill
+    return best.width, best
 
 
 def tw_lower(g: Graph) -> int:
-    """max(clique number - 1, degeneracy); always <= true treewidth."""
-    if g.n == 0:
-        return -1
-    deg = degeneracy(g)
-    if g.n <= 128:
-        return max(deg, len(max_clique(g)) - 1)
-    return deg
+    """Degeneracy, the largest degree met while removing a vertex of least
+    degree (-1 on no vertices).  No clique bound can beat it: a c-clique lies
+    inside the (c - 1)-core."""
+    active = g.full_mask()
+    out = -1
+    for _ in range(g.n):
+        v = min(bits(active), key=lambda u: (g.adj[u] & active).bit_count())
+        out = max(out, (g.adj[v] & active).bit_count())
+        active &= ~(1 << v)
+    return out
 
 
 def _glue(parts: tuple[int, ...], tds: list[TreeDecomposition]) -> TreeDecomposition:
@@ -182,8 +177,6 @@ def treewidth_exact(
     n = g.n
     if n > guard:
         raise ScaleLimit(f"treewidth_exact: {n} vertices exceeds the guard of {guard}")
-    if n == 0:
-        return -1, TreeDecomposition((frozenset(),), ())
     lb = tw_lower(g)
     ub, td = tw_upper(g)
     if lb >= ub:
@@ -292,6 +285,8 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
             ids = ints(parts[1:])
             if not ids or min(ids) < 1:
                 raise InvalidInput(f"malformed bag line: {line!r}")
+            if ids[0] - 1 in bags:
+                raise InvalidInput(f"bag id {ids[0]} is repeated")
             bags[ids[0] - 1] = frozenset(v - 1 for v in ids[1:])
         else:
             if len(parts) != 2:
@@ -300,10 +295,12 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
             edges.append((a - 1, b - 1))
     if header is None:
         raise InvalidInput("missing solution line")
-    nbags, _, n = header
+    nbags, size, n = header
     # the header's count is compared with the bag lines before it sizes anything
     if nbags != len(bags) or sorted(bags) != list(range(nbags)):
         raise InvalidInput("bag ids must be 1..k, each exactly once")
+    if size != max((len(b) for b in bags.values()), default=0):
+        raise InvalidInput(f"the header's bag size {size} is not the largest bag's")
     td = TreeDecomposition(
         tuple(bags[i] for i in range(nbags)), tuple(sorted(tuple(sorted(e)) for e in edges))
     )

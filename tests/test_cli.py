@@ -7,8 +7,8 @@ import sys
 
 import pytest
 
-from obslab import cli, generators
-from obslab.generators import complete, cone, cycle, path_graph, plant_crystal, plant_phantom
+from obslab import cli, generators, treewidth
+from obslab.generators import complete, cone, cycle, path_graph, plant_crystal, plant_phantom, random_graph
 from obslab.graph_core import dumps_graph, loads_graph
 from obslab.structures import crystal_to_json_obj, phantom_to_json_obj
 from obslab.suites import suite_crystallized
@@ -70,6 +70,14 @@ def test_tw_bounds():
     code, out = run_cli(["tw", "--bounds"], dumps_graph(complete(6)))
     assert code == 0
     assert json.loads(out) == {"lower": 5, "upper": 5}
+
+
+def test_tw_bounds_on_a_dense_graph_run_no_clique_search():
+    # the clique number minus one never exceeds degeneracy, so the lower
+    # bound runs no clique search, which costs tens of seconds on this graph
+    code, out = run_cli(["tw", "--bounds"], dumps_graph(random_graph(128, 7, 7, 8)))
+    assert (code, out) == (0, '{"lower":102,"upper":121}\n')
+    assert not hasattr(treewidth, "max_clique")
 
 
 def test_detect_membership():
@@ -414,6 +422,11 @@ def _kaleidoscope_payload(zset):
         ),
         (["validate", "phantom"], _changed(_phantom_payload(), [0, 1, 2**70], "phantom", "layers", 0)),
         (["validate", "kaleidoscope"], _changed(_kaleidoscope_payload([4]), [[]], "kaleidoscope", "paths")),
+        # a repeated bag id, and a header whose bag size or vertex count is
+        # not the decomposition's
+        (["validate", "decomposition"], _decomposition_payload("s td 1 2 2\nb 1 1\nb 1 1 2\n")),
+        (["validate", "decomposition"], _decomposition_payload("s td 1 9 2\nb 1 1 2\n")),
+        (["validate", "decomposition"], _decomposition_payload("s td 1 2 99\nb 1 1 2\n")),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):

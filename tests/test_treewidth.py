@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
-from obslab.errors import ScaleLimit
+from obslab.errors import InvalidInput, ScaleLimit
 from obslab.generators import (
     _brick_wall,
     complete,
@@ -16,6 +16,7 @@ from obslab.graph_core import Graph, induced_subgraph, subdivide_all
 from obslab.rng import SplitMix
 from obslab.treewidth import (
     TreeDecomposition,
+    decomposition_from_order,
     from_pace,
     to_pace,
     treewidth_exact,
@@ -56,6 +57,14 @@ def test_sandwich_and_certification(g):
     width, td = treewidth_exact(g)
     assert tw_lower(g) <= width <= tw_upper(g)[0]
     assert verify_decomposition(g, td) is None
+
+
+def test_order_must_list_every_vertex_once():
+    g = path_graph(3)
+    assert decomposition_from_order(g, [2, 0, 1]).width == 1
+    for order in ([0, 1], [0, 0, 1], [0, 1, 2, 3]):
+        with pytest.raises(InvalidInput):
+            decomposition_from_order(g, order)
 
 
 def test_bounds_examples():
