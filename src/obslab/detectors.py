@@ -18,7 +18,6 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
@@ -48,22 +47,64 @@ def _check_scale(g: Graph | Digraph, guard: int, what: str) -> None:
 
 class _Budget:
     """Search nodes left for one finder call, and that call's distance memo:
-    the graph does not change during the call, so the distances to a vertex
-    inside a mask are computed once, however many atoms, candidates, roots
-    and length caps ask _to_dst for them.  Each is kept as a 16-bit array, 2
-    bytes a vertex against a list's 8; no distance reaches MAX_VERTICES."""
+    the graph does not change during the call, so the ball around a vertex
+    inside a mask (see _Ball) is grown once, however many atoms, candidates,
+    roots and length caps ask _to_dst for it."""
 
-    __slots__ = ("left", "what", "dists")
+    __slots__ = ("left", "what", "balls")
 
     def __init__(self, nodes: int, what: str):
         self.left = nodes
         self.what = what
-        self.dists: dict[tuple[int, int], array] = {}
+        self.balls: dict[tuple[int, int], _Ball] = {}
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
             raise ScaleLimit(f"{self.what}: search budget exhausted")
+
+
+class _Ball(list):
+    """ball[d] is the mask of the vertices within distance d of the end
+    inside the mask, grown from Graph.layers one layer at a time and only as
+    far as a caller asks.  Once the breadth-first search is exhausted, only
+    the masks are kept."""
+
+    __slots__ = ("grow",)
+
+    def __init__(self, g: Graph, end: int, mask: int):
+        self.grow = g.layers(end, mask)
+        super().__init__((next(self.grow),))
+
+    def _more(self) -> Iterator[int]:
+        """Each ball past the last one kept, kept as it is yielded; the
+        search is dropped once it is exhausted."""
+        reach = self[-1]
+        for layer in self.grow or ():
+            reach |= layer
+            self.append(reach)
+            yield reach
+        self.grow = None
+
+    def upto(self, radius: int) -> list[int]:
+        """ball[0..radius], the whole component standing in for the balls
+        past the end of the search."""
+        if len(self) <= radius:
+            for _ in self._more():
+                if len(self) > radius:
+                    break
+        return self[: radius + 1] + [self[-1]] * (radius + 1 - len(self))
+
+    def radius_holding(self, mask: int, m: int) -> int:
+        """The least d with m vertices of mask in ball[d], or -1 when the
+        whole component holds fewer."""
+        for d, reach in enumerate(self):
+            if (reach & mask).bit_count() >= m:
+                return d
+        for reach in self._more():
+            if (reach & mask).bit_count() >= m:
+                return len(self) - 1
+        return -1
 
 
 class Witness(Record):
@@ -142,7 +183,7 @@ def find_hole(g: Graph) -> Witness | None:
                 if g.has_edge(a, c):
                     continue
                 allowed = g.full_mask() & ~((1 << b) | g.adj[b]) | (1 << a) | (1 << c)
-                layers = g.layers(c, allowed)
+                layers = list(g.layers(c, allowed))
                 d = next((d for d, layer in enumerate(layers) if layer >> a & 1), None)
                 if d is None:
                     continue
@@ -260,15 +301,15 @@ def find_even_wheel(
 
 def _to_dst(
     g: Graph, src: int, dst: int, interior_allowed: int, budget: _Budget
-) -> tuple[int, array]:
-    """The interior pool of src-dst paths, and the distances to dst inside
+) -> tuple[int, _Ball]:
+    """The interior pool of src-dst paths, and the ball around dst inside
     the pool plus both ends, from the finder call's memo."""
     pool = interior_allowed & ~(1 << src) & ~(1 << dst)
     key = (dst, pool | (1 << src) | (1 << dst))
-    dist = budget.dists.get(key)
-    if dist is None:
-        dist = budget.dists[key] = array("h", g.bfs_dist(*key))
-    return pool, dist
+    ball = budget.balls.get(key)
+    if ball is None:
+        ball = budget.balls[key] = _Ball(g, *key)
+    return pool, ball
 
 
 def _floors(
@@ -280,14 +321,15 @@ def _floors(
 
     A pair asked for m times needs m paths with disjoint interiors, so
     either the single edge src-dst or m paths leaving src through distinct
-    neighbors x in the pool, each of length >= 1 + dist(x, dst)."""
+    neighbors x in the pool, each of length >= 1 + dist(x, dst).  The
+    ball around dst grows only until it holds m of those neighbors."""
     for ((src, dst), allowed), m in Counter(zip(ends, pools)).items():
         if g.has_edge(src, dst):
-            lens = [1]
+            yield 1 if m == 1 else -1
         else:
-            pool, dist = _to_dst(g, src, dst, allowed, budget)
-            lens = sorted(1 + dist[x] for x in bits(g.adj[src] & pool) if dist[x] >= 0)
-        yield lens[m - 1] if len(lens) >= m else -1
+            pool, ball = _to_dst(g, src, dst, allowed, budget)
+            d = ball.radius_holding(g.adj[src] & pool, m)
+            yield d + 1 if d >= 0 else -1
 
 
 def _induced_paths(
@@ -298,27 +340,27 @@ def _induced_paths(
     max_len: int,
     budget: _Budget,
 ) -> Iterator[tuple[int, ...]]:
-    """src-dst paths of length 2..max_len, induced apart from a src-dst edge,
-    whose interiors stay in the allowed mask: the induced paths when src and
-    dst are not adjacent, the rest of a hole through that edge when they are.
-    Deterministic ascending-vertex order, distance pruned.  One loop with its
-    own stack, as in graph_core.stable_sets, so the budget, one node spent
-    for each path grown, is the only limit on the length of a path."""
-    pool, dist = _to_dst(g, src, dst, interior_allowed, budget)
+    """src-dst paths of length 2..max_len (max_len >= 1), induced apart from
+    a src-dst edge, whose interiors stay in the allowed mask: the induced
+    paths when src and dst are not adjacent, the rest of a hole through that
+    edge when they are.  Deterministic ascending-vertex order, distance
+    pruned: after k vertices the next one lies within max_len - k of dst, in
+    the ball grown that far.  One loop with its own stack, as in
+    graph_core.stable_sets, so the budget, one node spent for each path
+    grown, is the only limit on the length of a path."""
+    pool, ball = _to_dst(g, src, dst, interior_allowed, budget)
+    budget.spend()
+    within = ball.upto(max_len - 1)
     adj = g.adj
     dbit = 1 << dst
     path = [src]
     pmask = 1 << src
-    budget.spend()
     # per vertex of path: the candidates for the next vertex, and the
     # neighbors of the path so far, which the vertices after it must avoid
-    stack = [(bits(adj[src] & pool), adj[src])]
+    stack = [(bits(adj[src] & pool & within[-1]), adj[src])]
     while stack:
         cands, ban = stack[-1]
-        k = len(path)  # vertices so far; the next edge is number k
         for v in cands:
-            if dist[v] < 0 or k + dist[v] > max_len:
-                continue
             if adj[v] & dbit:
                 yield (*path, v, dst)
                 # any continuation would leave a chord back to dst
@@ -326,7 +368,8 @@ def _induced_paths(
             budget.spend()
             path.append(v)
             pmask |= 1 << v
-            stack.append((bits(adj[v] & pool & ~ban & ~pmask), ban | adj[v]))
+            near = within[max_len - len(path)]
+            stack.append((bits(adj[v] & pool & near & ~ban & ~pmask), ban | adj[v]))
             break
         else:
             stack.pop()

@@ -124,20 +124,20 @@ class Graph:
             mask ^= low
         return out
 
-    def layers(self, src: int, allowed: int | None = None) -> list[int]:
-        """Breadth-first frontiers from src inside the allowed mask: entry d
-        is the set of vertices at distance exactly d.  Empty when src is not
-        allowed."""
+    def layers(self, src: int, allowed: int | None = None) -> Iterator[int]:
+        """Breadth-first frontiers from src inside the allowed mask: the d-th
+        is the set of vertices at distance exactly d.  None at all when src
+        is not allowed.  Lazy: each frontier is expanded only when the next
+        one is asked for, so a caller that stops at depth d pays for d
+        expansions."""
         if allowed is None:
             allowed = self.full_mask()
         frontier = (1 << src) & allowed
         seen = frontier
-        out = []
         while frontier:
-            out.append(frontier)
+            yield frontier
             frontier = self.neighborhood(frontier) & allowed & ~seen
             seen |= frontier
-        return out
 
     def bfs_dist(self, src: int, allowed: int | None = None) -> list[int]:
         """Distances from src inside the allowed mask; -1 where unreachable."""

@@ -6,10 +6,20 @@ from 2 (theta) or 1 (prism) up, and every induced-path search computes its
 own distances.  Same candidate order, so same witnesses; no search budget.
 The prism's triangles come from a plain loop over edges and common
 neighbors, not from the stable-set search the finder uses.
+
+Below them, the distance memo the finders kept before it held balls: each
+distance search run to exhaustion into an array of every vertex's distance,
+read per candidate.  distance_arrays() runs the finders on it, with the
+finders' own budget and order.
 """
 
+from array import array
+from collections import Counter
+from contextlib import contextmanager
 from itertools import permutations
+from unittest import mock
 
+from obslab import detectors
 from obslab.graph_core import Graph, bits, mask_of
 
 
@@ -108,3 +118,76 @@ def prism_by_deepening(g: Graph):
                 ]
                 candidates.append(((t1, matched), ends, pools))
     return _deepen(g, candidates, 1)
+
+
+# -- the distance-array memo ----------------------------------------------------
+
+
+class DistanceBudget(detectors._Budget):
+    """The finder call's budget, its memo holding one distance array per
+    (end, mask)."""
+
+    def __init__(self, nodes: int, what: str):
+        super().__init__(nodes, what)
+        self.dists: dict[tuple[int, int], array] = {}
+
+
+def to_dst(g: Graph, src: int, dst: int, interior_allowed: int, budget: DistanceBudget):
+    """The interior pool of src-dst paths, and the distances to dst inside
+    the pool plus both ends, from the memo."""
+    pool = interior_allowed & ~(1 << src) & ~(1 << dst)
+    key = (dst, pool | (1 << src) | (1 << dst))
+    dist = budget.dists.get(key)
+    if dist is None:
+        dist = budget.dists[key] = array("h", g.bfs_dist(*key))
+    return pool, dist
+
+
+def floors(g: Graph, ends, pools, budget: DistanceBudget):
+    """detectors._floors from a sorted list of the distances of src's pool
+    neighbours."""
+    for ((src, dst), allowed), m in Counter(zip(ends, pools)).items():
+        if g.has_edge(src, dst):
+            lens = [1]
+        else:
+            pool, dist = to_dst(g, src, dst, allowed, budget)
+            lens = sorted(1 + dist[x] for x in bits(g.adj[src] & pool) if dist[x] >= 0)
+        yield lens[m - 1] if len(lens) >= m else -1
+
+
+def induced_paths(g: Graph, src: int, dst: int, interior_allowed: int, max_len: int, budget):
+    """detectors._induced_paths with each candidate's distance read from the
+    array, spending the budget at the same points."""
+    pool, dist = to_dst(g, src, dst, interior_allowed, budget)
+    adj = g.adj
+    dbit = 1 << dst
+    path = [src]
+    pmask = 1 << src
+    budget.spend()
+    stack = [(bits(adj[src] & pool), adj[src])]
+    while stack:
+        cands, ban = stack[-1]
+        k = len(path)
+        for v in cands:
+            if dist[v] < 0 or k + dist[v] > max_len:
+                continue
+            if adj[v] & dbit:
+                yield (*path, v, dst)
+                continue
+            budget.spend()
+            path.append(v)
+            pmask |= 1 << v
+            stack.append((bits(adj[v] & pool & ~ban & ~pmask), ban | adj[v]))
+            break
+        else:
+            stack.pop()
+            pmask ^= 1 << path.pop()
+
+
+@contextmanager
+def distance_arrays():
+    """Within the block, every finder keeps distance arrays, not balls."""
+    with mock.patch.multiple(
+        detectors, _Budget=DistanceBudget, _floors=floors, _induced_paths=induced_paths
+    ):
+        yield

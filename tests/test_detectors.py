@@ -22,6 +22,7 @@ from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
 from .conftest import graphs
+from .deepening_oracles import distance_arrays
 from .subset_oracles import even_hole_by_subsets, set_relation
 
 
@@ -155,26 +156,45 @@ def test_prism_witness_has_three_paths():
     assert not det.validate_witness(prism6, w)
 
 
-# finder, obstruction kind, then the Graph.bfs_dist calls made and search
+# finder, obstruction kind, then the distance searches started and search
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every
-# induced-path search computed its own distances (tests/deepening_oracles.py)
+# induced-path search made its own Graph.bfs_dist call
+# (tests/deepening_oracles.py)
 _PINNED_WORK = [
     (det.find_prism, "line_of_wall", 744, 21, 13_859, 1_407),  # n=123
     (det.find_theta, "wall", 298, 8_231, 3_841, 11_671),  # n=112
 ]
 
 
-def _counted_bfs(monkeypatch) -> list:
-    """The arguments of every Graph.bfs_dist call made from now on."""
+def _counted_searches(monkeypatch) -> list:
+    """The (end, mask) of every distance search the finders start from now
+    on: one per entry of a finder call's distance memo, however far its
+    ball grows.  Graph.layers calls are not what is counted, since atoms
+    reaches them through component_mask."""
     made = []
-    bfs = Graph.bfs_dist
+
+    class Counted(det._Ball):
+        def __init__(self, g, *key):
+            made.append(key)
+            super().__init__(g, *key)
+
+    monkeypatch.setattr(det, "_Ball", Counted)
+    return made
+
+
+def _counted_expansions(monkeypatch) -> list:
+    """One entry for every breadth-first frontier that Graph.layers expands
+    from now on, whoever asked for the next layer."""
+    made = []
+    layers = Graph.layers
 
     def counted(self, *args):
-        made.append(args)
-        return bfs(self, *args)
+        for frontier in layers(self, *args):
+            yield frontier
+            made.append(frontier)
 
-    monkeypatch.setattr(Graph, "bfs_dist", counted)
+    monkeypatch.setattr(Graph, "layers", counted)
     return made
 
 
@@ -183,13 +203,40 @@ def test_three_path_search_work_is_pinned(
     finder, kind, calls, nodes, plain_calls, plain_nodes, monkeypatch
 ):
     g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
-    made = _counted_bfs(monkeypatch)
+    made = _counted_searches(monkeypatch)
     w = finder(g, guard=128, budget=nodes)
     assert w is not None and det.validate_witness(g, w)
     assert len(made) == calls and 10 * calls <= plain_calls
     assert nodes < plain_nodes
     with pytest.raises(ScaleLimit):
         finder(g, guard=128, budget=nodes - 1)
+
+
+# finder, obstruction kind and search nodes on the t=4 obstruction of
+# SplitMix(1)'s first seed (as above), then the breadth-first frontiers
+# expanded: by the finder, whose balls grow only as far as a floor or a cap
+# asks, then by the distance arrays it kept before, each distance search run
+# to exhaustion (tests/deepening_oracles.py).  Each obstruction is one atom
+# and is searched whole, as in _HOLE_WORK below.
+_EXPANSION_WORK = [
+    (det.find_prism, "line_of_wall", 21, 14_046, 19_893),  # n=123
+    (det.find_theta, "wall", 8_231, 4_449, 7_256),  # n=112
+    (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
+]
+
+
+@pytest.mark.parametrize("finder,kind,nodes,grown,exhausted", _EXPANSION_WORK)
+def test_balls_grow_only_as_far_as_asked(finder, kind, nodes, grown, exhausted, monkeypatch):
+    g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
+    made = _counted_expansions(monkeypatch)
+    with whole_graph():
+        w = finder(g, guard=128, budget=nodes)
+        assert len(made) == grown
+        made.clear()
+        with distance_arrays():
+            assert finder(g, guard=128, budget=nodes) == w
+        assert len(made) == exhausted
+    assert w is not None and det.validate_witness(g, w)
 
 
 def _wheel_free_clique_sum():
@@ -201,10 +248,11 @@ def _wheel_free_clique_sum():
 
 
 # finder, graph (the t=4 obstruction of SplitMix(1)'s first seed, or the
-# clique sum above), whether it holds the structure, then the Graph.bfs_dist
-# calls made and search nodes needed: first by the finder on the whole graph,
-# which reads each hole once, then by the per-root cycle DFS it replaced,
-# which read each hole in both directions (tests/hole_oracles.py).  The
+# clique sum above), whether it holds the structure, then the distance
+# searches started (Graph.bfs_dist calls for the old route) and search nodes
+# needed: first by the finder on the whole graph, which reads each hole once,
+# then by the per-root cycle DFS it replaced, which read each hole in both
+# directions (tests/hole_oracles.py).  The
 # obstruction is one atom; the clique sum is searched whole here, as it was
 # before the finders went atom by atom.
 _HOLE_WORK = [
@@ -221,7 +269,7 @@ def test_hole_stream_work_is_pinned(
         g = _wheel_free_clique_sum()
     else:
         g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
-    made = _counted_bfs(monkeypatch)
+    made = _counted_searches(monkeypatch)
     with whole_graph():
         w = finder(g, guard=128, budget=nodes)
         assert (w is not None) == found and (w is None or det.validate_witness(g, w))
@@ -230,7 +278,7 @@ def test_hole_stream_work_is_pinned(
             finder(g, guard=128, budget=nodes - 1)
 
 
-# finder, then the Graph.bfs_dist calls made and search nodes needed on the
+# finder, then the distance searches started and search nodes needed on the
 # clique sum above: atom by atom, then on the whole graph.  Its atoms are
 # C5s, C7s and triangles.  The triangles are cliques and are not searched;
 # a hole has no claw centre, no two disjoint triangles and no vertex of
@@ -246,7 +294,7 @@ _ATOM_WORK = [
 @pytest.mark.parametrize("finder,calls,nodes,whole_calls,whole_nodes", _ATOM_WORK)
 def test_atom_route_work_is_pinned(finder, calls, nodes, whole_calls, whole_nodes, monkeypatch):
     g = _wheel_free_clique_sum()
-    made = _counted_bfs(monkeypatch)
+    made = _counted_searches(monkeypatch)
     with whole_graph():
         assert finder(g, guard=128, budget=whole_nodes) is None
     assert len(made) == whole_calls
@@ -274,7 +322,7 @@ _CHORDED_PRISM += [(0, 6), (6, 3), (1, 7), (7, 4), (2, 8), (8, 5), (6, 7)]
 _ODD_WHEEL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5)]
 
 # finder, graph glued to a C5 (two atoms, the C5 and the graph, neither
-# holding the structure), then the Graph.bfs_dist calls made and search nodes
+# holding the structure), then the distance searches started and search nodes
 # needed.  Cap deepening and hole lengths stop at the size of the atom
 # searched; going on up to g.n would spend the nodes of the last caps again
 # and grow paths for holes longer than the atom.
@@ -289,7 +337,7 @@ _TWO_ATOM_WORK = [
 def test_two_atom_work_is_pinned(finder, n, edges, calls, nodes, monkeypatch):
     g = _glued_to_c5(n, edges)
     assert len(atoms(g)) == 2 and det.find_hole(g) is not None
-    made = _counted_bfs(monkeypatch)
+    made = _counted_searches(monkeypatch)
     assert finder(g, budget=nodes) is None
     assert len(made) == calls
     with pytest.raises(ScaleLimit):

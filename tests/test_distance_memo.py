@@ -1,0 +1,90 @@
+"""The finder call's distance memo, balls grown only as far as asked
+(detectors._Ball), against the distance arrays it replaced
+(tests/deepening_oracles.py): the same floors, the same paths in the same
+order, the same budget spent and the same distance searches started."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from obslab import detectors as det
+from obslab.errors import ScaleLimit
+from obslab.generators import cycle, path_graph
+from obslab.graph_core import Graph
+
+from .conftest import graphs
+from .deepening_oracles import DistanceBudget, floors, induced_paths
+
+
+def _run(asks, g, nodes):
+    """Each ask answered on one budget, by the balls and by the arrays: the
+    answers (those before the budget ran out), whether it ran out, the nodes
+    left and the distance searches started."""
+    routes = []
+    for budget, floors_of, paths_of, memo in (
+        (det._Budget(nodes, "balls"), det._floors, det._induced_paths, "balls"),
+        (DistanceBudget(nodes, "arrays"), floors, induced_paths, "dists"),
+    ):
+        out = []
+        try:
+            for ask in asks:
+                if ask[0] == "floors":
+                    out.append(list(floors_of(g, *ask[1:], budget)))
+                else:
+                    out.append([])
+                    for p in paths_of(g, *ask[1:], budget):
+                        out[-1].append(p)
+        except ScaleLimit:
+            out.append("out of nodes")
+        routes.append((out, budget.left, len(getattr(budget, memo))))
+    assert routes[0] == routes[1]
+    return routes[0][0]
+
+
+@hst.composite
+def _asks(draw, g):
+    """Up to five floor and path questions whose (ends, pool) pairs repeat
+    often, so that later asks reuse and grow earlier balls."""
+    vertex = hst.integers(min_value=0, max_value=g.n - 1)
+    pair = hst.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
+    pool = hst.integers(min_value=0, max_value=g.full_mask())
+    pair = hst.sampled_from(draw(hst.lists(pair, min_size=1, max_size=3)))
+    pool = hst.sampled_from(draw(hst.lists(pool, min_size=1, max_size=3)))
+    cap = hst.integers(min_value=1, max_value=g.n + 1)
+    asks = []
+    for _ in range(draw(hst.integers(min_value=1, max_value=5))):
+        if draw(hst.booleans()):
+            picks = draw(hst.lists(hst.tuples(pair, pool), min_size=1, max_size=4))
+            asks.append(("floors", [e for e, _ in picks], [q for _, q in picks]))
+        else:
+            src, dst = draw(pair)
+            asks.append(("paths", src, dst, draw(pool), draw(cap)))
+    return asks
+
+
+@given(graphs(min_n=2, max_n=12), hst.data())
+@settings(max_examples=150, deadline=None)
+def test_balls_match_distance_arrays(g, data):
+    nodes = data.draw(hst.one_of(hst.just(10**6), hst.integers(min_value=1, max_value=40)))
+    _run(data.draw(_asks(g)), g, nodes)
+
+
+# graph, then the asks and their answers; 5 is out of reach of the path
+# 0-1-2-3-4 and of the C5 0-1-2-3-4-0
+_CASES = [
+    # an unreachable end: no floor, no path
+    (path_graph(5), [("floors", [(0, 5)], [0b111110])], [[-1]]),
+    (path_graph(5), [("paths", 0, 5, 0b111110, 6)], [[]]),
+    # adjacent ends: the edge is the one path, and the hole through it the rest
+    (cycle(5), [("floors", [(0, 1)] * 2, [0b11110] * 2), ("floors", [(0, 1)], [0b11110])], [[-1], [1]]),
+    (cycle(5), [("paths", 0, 1, 0b11100, 4), ("paths", 0, 1, 0b11100, 3)], [[(0, 4, 3, 2, 1)], []]),
+    # a length cap below the distance, then at it, on one memo entry
+    (path_graph(5), [("paths", 0, 4, 0b1110, 3), ("paths", 0, 4, 0b1110, 4)], [[], [(0, 1, 2, 3, 4)]]),
+    (path_graph(5), [("floors", [(0, 4)], [0b1110]), ("paths", 0, 4, 0b1110, 1)], [[4], []]),
+]
+
+
+@pytest.mark.parametrize("g,asks,answers", _CASES)
+def test_balls_at_the_edges(g, asks, answers):
+    g = Graph(6, g.adj + (0,) * (6 - g.n))
+    assert _run(asks, g, 100) == answers

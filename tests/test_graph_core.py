@@ -201,7 +201,7 @@ def test_traversals_match_set_definitions(g, data):
         amask = None if allowed is None else sum(1 << v for v in allowed)
         dist = _plain_distances(g, src, set(range(g.n)) if allowed is None else allowed)
         depth = max(dist.values(), default=-1) + 1
-        assert g.layers(src, amask) == [sum(1 << v for v in dist if dist[v] == d) for d in range(depth)]
+        assert list(g.layers(src, amask)) == [sum(1 << v for v in dist if dist[v] == d) for d in range(depth)]
         assert g.bfs_dist(src, amask) == [dist.get(v, -1) for v in range(g.n)]
         assert g.component_mask(src, amask) == sum(1 << v for v in dist)
     xs, ys = data.draw(vertex_sets), data.draw(vertex_sets)
@@ -209,6 +209,20 @@ def test_traversals_match_set_definitions(g, data):
     assert g.neighborhood(sum(1 << x for x in xs)) == sum(1 << u for u in seen)
     assert is_stable_set(g, xs) == (not any(g.has_edge(x, y) for x in xs for y in xs))
     assert is_anticomplete_to(g, xs, ys) == (not any(g.has_edge(x, y) for x in xs for y in ys))
+
+
+@given(graphs(min_n=1, max_n=9), hst.data())
+@settings(max_examples=60, deadline=None)
+def test_partly_consumed_layers_are_a_prefix(g, data):
+    src = data.draw(hst.integers(min_value=0, max_value=g.n - 1))
+    amask = data.draw(hst.integers(min_value=0, max_value=g.full_mask()))
+    k = data.draw(hst.integers(min_value=0, max_value=g.n + 1))
+    full = list(g.layers(src, amask))
+    part = g.layers(src, amask)
+    head = list(itertools.islice(part, k))
+    # a second search from the same end, run while the first is suspended
+    assert list(g.layers(src, amask)) == full
+    assert head == full[:k] and head + list(part) == full
 
 
 def test_digraph():
