@@ -18,9 +18,8 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, permutations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import InvalidInput, ScaleLimit
 from .graph_core import (
@@ -29,6 +28,7 @@ from .graph_core import (
     Record,
     atoms,
     bits,
+    check_scale,
     check_vertex_set,
     induces,
     is_clique,
@@ -38,11 +38,6 @@ from .graph_core import (
 
 DEFAULT_GUARD = 64
 DEFAULT_BUDGET = 5_000_000
-
-
-def _check_scale(g: Graph | Digraph, guard: int, what: str) -> None:
-    if g.n > guard:
-        raise ScaleLimit(f"{what}: {g.n} vertices exceeds the guard of {guard}")
 
 
 class _Budget:
@@ -215,7 +210,7 @@ def _per_atom(g: Graph, guard: int, budget: int, what: str, search):
     list is the certificate of absence.  One budget and one distance memo
     cover every atom: a distance inside a mask depends only on g, the target
     and the mask."""
-    _check_scale(g, guard, what)
+    check_scale(g, guard, what)
     nodes = _Budget(budget, what)
     best = None
     for part in atoms(g):
@@ -312,24 +307,17 @@ def _to_dst(
     return pool, ball
 
 
-def _floors(
-    g: Graph, ends: Sequence[tuple[int, int]], pools: Sequence[int], budget: _Budget
-) -> Iterator[int]:
-    """For each distinct (pair, pool) of zip(ends, pools), in order and
-    computed lazily: a lower bound on the longest of the induced paths asked
-    for between that pair inside that pool, or -1 when they cannot exist.
-
-    A pair asked for m times needs m paths with disjoint interiors, so
-    either the single edge src-dst or m paths leaving src through distinct
-    neighbors x in the pool, each of length >= 1 + dist(x, dst).  The
-    ball around dst grows only until it holds m of those neighbors."""
-    for ((src, dst), allowed), m in Counter(zip(ends, pools)).items():
-        if g.has_edge(src, dst):
-            yield 1 if m == 1 else -1
-        else:
-            pool, ball = _to_dst(g, src, dst, allowed, budget)
-            d = ball.radius_holding(g.adj[src] & pool, m)
-            yield d + 1 if d >= 0 else -1
+def _floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: _Budget) -> int:
+    """A lower bound on the longest of m induced src-dst paths with disjoint
+    interiors inside the allowed mask, or -1 when they cannot exist: either
+    the single edge src-dst or m paths leaving src through distinct
+    neighbors x in the pool, each of length >= 1 + dist(x, dst).  The ball
+    around dst grows only until it holds m of those neighbors."""
+    if g.has_edge(src, dst):
+        return 1 if m == 1 else -1
+    pool, ball = _to_dst(g, src, dst, allowed, budget)
+    d = ball.radius_holding(g.adj[src] & pool, m)
+    return d + 1 if d >= 0 else -1
 
 
 def _induced_paths(
@@ -377,51 +365,49 @@ def _induced_paths(
 
 
 def _anticomplete_paths(
-    g: Graph,
-    ends: Sequence[tuple[int, int]],
-    pools: Sequence[int],
-    cap: int,
-    budget: _Budget,
+    g: Graph, asks: tuple[tuple[int, int, int, int], ...], cap: int, budget: _Budget
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Induced paths of length <= cap, the i-th joining the pair ends[i] with
-    its interior in pools[i], whose interiors are pairwise disjoint and
-    anticomplete: the first such tuple in deterministic order, or None.  No
-    path is enumerated unless the floor of every pair left fits under cap."""
-    if not all(0 < f <= cap for f in _floors(g, ends, pools, budget)):
+    """For each ask (src, dst, pool, m) in turn, m induced src-dst paths of
+    length <= cap with interiors in pool, all interiors pairwise disjoint
+    and anticomplete: the first such tuple in deterministic order, or None.
+    No path is enumerated unless the floor of every ask fits under cap."""
+    if not all(0 < _floor(g, *ask, budget) <= cap for ask in asks):
         return None
+    src, dst, pool, m = asks[0]
+    rest = asks[1:] if m == 1 else ((src, dst, pool, m - 1), *asks[1:])
     # the direct edge makes every longer sequence non-induced
-    edge = g.has_edge(*ends[0])
-    for p in [ends[0]] if edge else _induced_paths(g, *ends[0], pools[0], cap, budget):
-        if len(ends) == 1:
+    edge = g.has_edge(src, dst)
+    for p in [(src, dst)] if edge else _induced_paths(g, src, dst, pool, cap, budget):
+        if not rest:
             return (p,)
         inner = mask_of(p[1:-1])
         ban = inner | g.neighborhood(inner)
-        rest = _anticomplete_paths(g, ends[1:], [q & ~ban for q in pools[1:]], cap, budget)
-        if rest is not None:
-            return (p, *rest)
+        found = _anticomplete_paths(g, tuple((s, d, q & ~ban, k) for s, d, q, k in rest), cap, budget)
+        if found is not None:
+            return (p, *found)
     return None
 
 
 def _shortest_three_paths(g: Graph, part: int, candidates: list, budget: _Budget):
-    """Cap deepening over candidates, a list of (key, ends, pools) built once
-    per search of the vertex mask part, every pool inside it: at each cap,
-    the first candidate with anticomplete paths of length <= cap gives
-    (cap, (key, paths)), else None.  Caps stop at the size of part, which
-    no path inside it exceeds.
+    """Cap deepening over candidates, a list of (key, asks) built once per
+    search of the vertex mask part, every pool inside it: at each cap, the
+    first candidate with anticomplete paths of length <= cap gives (cap,
+    (key, paths)), else None.  Caps stop at the size of part, which no path
+    inside it exceeds.
 
-    Each candidate's first floor (its first pair's, see _floors) is computed
-    once.  A candidate is searched only at caps from its first floor up, and
+    Each candidate's first floor (its first ask's) is computed once.  A
+    candidate is searched only at caps from its first floor up, and
     deepening starts at the smallest first floor, since no cap below it can
     succeed.  Every candidate was searched exhaustively at cap - 1, so the
     longest path found has length exactly cap: shortest first."""
-    firsts = [next(_floors(g, ends, pools, budget)) for _, ends, pools in candidates]
+    firsts = [_floor(g, *asks[0], budget) for _, asks in candidates]
     first_cap = min((f for f in firsts if f > 0), default=None)
     if first_cap is None:
         return None
     for cap in range(first_cap, part.bit_count() + 1):
-        for first, (key, ends, pools) in zip(firsts, candidates):
+        for first, (key, asks) in zip(firsts, candidates):
             if 0 < first <= cap:
-                paths = _anticomplete_paths(g, ends, pools, cap, budget)
+                paths = _anticomplete_paths(g, asks, cap, budget)
                 if paths is not None:
                     return cap, (key, paths)
     return None
@@ -437,7 +423,7 @@ def _first_theta(g: Graph, part: int, budget: _Budget):
     None.  Only a claw centre of part can be an end."""
     ends = [v for v in bits(part) if _claw_centre(g, v, part)]
     candidates = [
-        ((a, z), ((a, z),) * 3, (part & ~mask_of((a, z)),) * 3)
+        ((a, z), ((a, z, part & ~mask_of((a, z)), 3),))
         for a in ends
         for z in ends
         if z > a and not g.has_edge(a, z)
@@ -485,13 +471,13 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
             if t1m & t2m:
                 continue
             for matched in permutations(t2):
-                ends = tuple(zip(t1, matched))
+                pairs = tuple(zip(t1, matched))
                 # corners may touch only their matched partner across the triangles
-                if any(g.adj[u] & t2m & ~(1 << w) for u, w in ends):
+                if any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
                     continue
                 # interiors avoid all six corners and every other corner's neighborhood
-                pools = tuple(part & ~(t1m | t2m | others[i][u] | others[j][w]) for u, w in ends)
-                candidates.append(((t1, t2, matched), ends, pools))
+                asks = tuple((u, w, part & ~(t1m | t2m | others[i][u] | others[j][w]), 1) for u, w in pairs)
+                candidates.append(((t1, t2, matched), asks))
     return _shortest_three_paths(g, part, candidates, budget)
 
 
@@ -569,7 +555,7 @@ def find_clique(g: Graph, c: int, guard: int = DEFAULT_GUARD) -> Witness | None:
     """A clique on exactly c vertices, or certified absence."""
     if c < 1:
         raise InvalidInput("clique size must be >= 1")
-    _check_scale(g, guard, "find_clique")
+    check_scale(g, guard, "find_clique")
     if c > g.n:
         return None
     got = max_clique(g, stop_at=c)
@@ -599,7 +585,7 @@ def find_induced_biclique(g: Graph, s: int, t: int, guard: int = DEFAULT_GUARD) 
     s = 1, which reads none, builds few."""
     if s < 1 or t < 1:
         raise InvalidInput("biclique side sizes must be >= 1")
-    _check_scale(g, guard, "find_induced_biclique")
+    check_scale(g, guard, "find_induced_biclique")
     adj = g.adj
     rows = _Rows(lambda v: adj[v] | mask_of(u for u, b in enumerate(adj) if (adj[v] & b).bit_count() < t))
     for am in stable_sets(rows, g.full_mask(), s):
@@ -687,7 +673,7 @@ def contains_induced(g: Graph, h: Graph, guard: int = DEFAULT_GUARD) -> dict[int
     plain backtracking's first embedding.  One loop with its own stack."""
     if h.n > g.n:
         raise InvalidInput("pattern has more vertices than the host")
-    _check_scale(g, guard, "contains_induced")
+    check_scale(g, guard, "contains_induced")
     deg = [a.bit_count() for a in h.adj]
     rank = [[0, d, -v] for v, d in enumerate(deg)]  # [placed neighbors, degree, -index]
     left = set(range(h.n))
@@ -780,7 +766,7 @@ def acyclic_tournament_or_stable(
     None) only below the c**(c**s) guarantee threshold."""
     if c < 1 or s < 1:
         raise InvalidInput(f"chain length c and stable set size s must be >= 1, got c={c}, s={s}")
-    _check_scale(d, guard, "acyclic_tournament_or_stable")
+    check_scale(d, guard, "acyclic_tournament_or_stable")
     full = (1 << d.n) - 1
     chain: list[int] = []
     # per open level: the pool of its vertex and the part of it not tried

@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 
 from .detectors import anticomplete_family, k_forest_order
-from .errors import InvalidInput, ScaleLimit
+from .errors import InvalidInput
 from .graph_core import (
     Graph,
     Record,
     bits,
+    check_scale,
     check_vertex_set,
     induced_subgraph,
     induces,
@@ -480,8 +481,7 @@ def brute_force_crystal(
     for any valid (f,g)-crystal; independent of the recursive extractors."""
     if f < 1 or g < 1:
         raise InvalidInput("need f >= 1 and g >= 1")
-    if G.n > guard:
-        raise ScaleLimit(f"brute_force_crystal: {G.n} vertices exceeds {guard}")
+    check_scale(G, guard, "brute_force_crystal")
     for z1, z2 in G.edges():
         others = [v for v in range(G.n) if v not in (z1, z2)]
         cand1 = [x for x in others if G.has_edge(x, z1) and not G.has_edge(x, z2)]

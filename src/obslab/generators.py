@@ -222,15 +222,22 @@ def k_tree_random(k: int, n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _with_vertex(g: Graph, nb: int) -> Graph:
+    """g plus a last vertex joined to the mask nb."""
+    new = 1 << g.n
+    return Graph(g.n + 1, tuple(a | new if nb >> v & 1 else a for v, a in enumerate(g.adj)) + (nb,))
+
+
 def k_tree_enumerate(k: int, n: int):
     """All k-trees on n vertices, one per isomorphism class.
 
     Each level attaches a vertex to every k-clique of every class of the
-    level below, the cliques taken as stable sets of the complement in
-    `combinations` order, and keeps the first candidate of each canonical
-    key.  A clique that does not take the lowest members of each twin class
-    of g is skipped: its lowest-twin image is an isomorphic candidate that
-    comes earlier from the same g, so the kept candidates are unchanged.
+    level below, the cliques taken as stable sets of the complement rows
+    ~g.adj[v] in `combinations` order, and keeps the first candidate of each
+    canonical key.  A clique that does not take the lowest members of each
+    twin class of g is skipped: its lowest-twin image is an isomorphic
+    candidate that comes earlier from the same g, so the kept candidates
+    are unchanged.
     """
     if k < 1 or n < k:
         raise InvalidInput("need n >= k >= 1")
@@ -240,10 +247,10 @@ def k_tree_enumerate(k: int, n: int):
         seen: set[tuple[int, int]] = set()
         for g in level:
             lowest = set(_lowest_twin_masks(g.adj))
-            for m in stable_sets(g.complement().adj, g.full_mask(), k):
+            for m in stable_sets([~a for a in g.adj], g.full_mask(), k):
                 if m not in lowest:
                     continue
-                cand = Graph.from_edges(g.n + 1, list(g.edges()) + [(u, g.n) for u in bits(m)])
+                cand = _with_vertex(g, m)
                 key = canonical_key(cand)
                 if key not in seen:
                     seen.add(key)
@@ -420,7 +427,6 @@ def enumerate_graphs(n: int) -> list[Graph]:
         reps = [Graph(n, tuple([0] * n))]
         _ISO_CACHE[n] = reps
         return reps
-    new = 1 << (n - 1)
     keys = set()
     for g in enumerate_graphs(n - 1):
         top = max(a.bit_count() for a in g.adj)
@@ -430,8 +436,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
             d = nb.bit_count()
             if d < top or d == top and nb & tops:
                 continue
-            adj = tuple(a | new if nb >> v & 1 else a for v, a in enumerate(g.adj))
-            keys.add(canonical_key(Graph(n, adj + (nb,))))
+            keys.add(canonical_key(_with_vertex(g, nb)))
     reps = [_graph_from_key(key) for key in sorted(keys)]
     _ISO_CACHE[n] = reps
     return reps

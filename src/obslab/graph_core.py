@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ScaleLimit
 
 # the most vertices any graph may have; the package builds none larger itself,
 # so a count read from outside is checked against it before anything is sized
@@ -27,6 +27,13 @@ def check_vertex_count(n: int) -> int:
     if not 0 <= n <= MAX_VERTICES:
         raise InvalidInput(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
     return n
+
+
+def check_scale(g: Graph | Digraph, guard: int, what: str) -> None:
+    """ScaleLimit, naming the search what, when g has more vertices than
+    guard."""
+    if g.n > guard:
+        raise ScaleLimit(f"{what}: {g.n} vertices exceeds the guard of {guard}")
 
 
 def bits(mask: int) -> Iterator[int]:

@@ -15,8 +15,8 @@ clique separators; the width is the largest over the atoms.
 
 from __future__ import annotations
 
-from .errors import InvalidInput, ScaleLimit
-from .graph_core import Graph, Record, atoms, bits, induced_subgraph, mask_of, text_int
+from .errors import InvalidInput
+from .graph_core import Graph, Record, atoms, bits, check_scale, induced_subgraph, mask_of, text_int
 
 DEFAULT_EXACT_GUARD = 22
 
@@ -106,7 +106,8 @@ def _min_fill(adj: list[int], active: int) -> int:
 
 
 def _min_degree(adj: list[int], active: int) -> int:
-    """The lowest active vertex of least degree in the fill graph."""
+    """The lowest active vertex of least degree inside active: in the fill
+    graph for the elimination game, in g itself for tw_lower."""
     return min(bits(active), key=lambda v: (adj[v] & active).bit_count())
 
 
@@ -127,7 +128,7 @@ def tw_lower(g: Graph) -> int:
     active = g.full_mask()
     out = -1
     for _ in range(g.n):
-        v = min(bits(active), key=lambda u: (g.adj[u] & active).bit_count())
+        v = _min_degree(g.adj, active)
         out = max(out, (g.adj[v] & active).bit_count())
         active &= ~(1 << v)
     return out
@@ -174,9 +175,8 @@ def treewidth_exact(
     separators: clique separators are safe for treewidth (Bodlaender and
     Koster, "Safe separators for treewidth", Discrete Math. 306, 2006), so
     the width is the largest over the atoms.  The guard applies to g."""
+    check_scale(g, guard, "treewidth_exact")
     n = g.n
-    if n > guard:
-        raise ScaleLimit(f"treewidth_exact: {n} vertices exceeds the guard of {guard}")
     lb = tw_lower(g)
     ub, td = tw_upper(g)
     if lb >= ub:

@@ -14,7 +14,6 @@ finders' own budget and order.
 """
 
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from itertools import permutations
 from unittest import mock
@@ -143,16 +142,15 @@ def to_dst(g: Graph, src: int, dst: int, interior_allowed: int, budget: Distance
     return pool, dist
 
 
-def floors(g: Graph, ends, pools, budget: DistanceBudget):
-    """detectors._floors from a sorted list of the distances of src's pool
+def floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: DistanceBudget):
+    """detectors._floor from a sorted list of the distances of src's pool
     neighbours."""
-    for ((src, dst), allowed), m in Counter(zip(ends, pools)).items():
-        if g.has_edge(src, dst):
-            lens = [1]
-        else:
-            pool, dist = to_dst(g, src, dst, allowed, budget)
-            lens = sorted(1 + dist[x] for x in bits(g.adj[src] & pool) if dist[x] >= 0)
-        yield lens[m - 1] if len(lens) >= m else -1
+    if g.has_edge(src, dst):
+        lens = [1]
+    else:
+        pool, dist = to_dst(g, src, dst, allowed, budget)
+        lens = sorted(1 + dist[x] for x in bits(g.adj[src] & pool) if dist[x] >= 0)
+    return lens[m - 1] if len(lens) >= m else -1
 
 
 def induced_paths(g: Graph, src: int, dst: int, interior_allowed: int, max_len: int, budget):
@@ -188,6 +186,6 @@ def induced_paths(g: Graph, src: int, dst: int, interior_allowed: int, max_len: 
 def distance_arrays():
     """Within the block, every finder keeps distance arrays, not balls."""
     with mock.patch.multiple(
-        detectors, _Budget=DistanceBudget, _floors=floors, _induced_paths=induced_paths
+        detectors, _Budget=DistanceBudget, _floor=floor, _induced_paths=induced_paths
     ):
         yield

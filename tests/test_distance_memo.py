@@ -13,7 +13,7 @@ from obslab.generators import cycle, path_graph
 from obslab.graph_core import Graph
 
 from .conftest import graphs
-from .deepening_oracles import DistanceBudget, floors, induced_paths
+from .deepening_oracles import DistanceBudget, floor, induced_paths
 
 
 def _run(asks, g, nodes):
@@ -21,15 +21,15 @@ def _run(asks, g, nodes):
     answers (those before the budget ran out), whether it ran out, the nodes
     left and the distance searches started."""
     routes = []
-    for budget, floors_of, paths_of, memo in (
-        (det._Budget(nodes, "balls"), det._floors, det._induced_paths, "balls"),
-        (DistanceBudget(nodes, "arrays"), floors, induced_paths, "dists"),
+    for budget, floor_of, paths_of, memo in (
+        (det._Budget(nodes, "balls"), det._floor, det._induced_paths, "balls"),
+        (DistanceBudget(nodes, "arrays"), floor, induced_paths, "dists"),
     ):
         out = []
         try:
             for ask in asks:
-                if ask[0] == "floors":
-                    out.append(list(floors_of(g, *ask[1:], budget)))
+                if ask[0] == "floor":
+                    out.append(floor_of(g, *ask[1:], budget))
                 else:
                     out.append([])
                     for p in paths_of(g, *ask[1:], budget):
@@ -44,7 +44,8 @@ def _run(asks, g, nodes):
 @hst.composite
 def _asks(draw, g):
     """Up to five floor and path questions whose (ends, pool) pairs repeat
-    often, so that later asks reuse and grow earlier balls."""
+    often, so that later asks reuse and grow earlier balls; a floor asks for
+    1 to 4 paths."""
     vertex = hst.integers(min_value=0, max_value=g.n - 1)
     pair = hst.tuples(vertex, vertex).filter(lambda e: e[0] != e[1])
     pool = hst.integers(min_value=0, max_value=g.full_mask())
@@ -53,11 +54,10 @@ def _asks(draw, g):
     cap = hst.integers(min_value=1, max_value=g.n + 1)
     asks = []
     for _ in range(draw(hst.integers(min_value=1, max_value=5))):
+        src, dst = draw(pair)
         if draw(hst.booleans()):
-            picks = draw(hst.lists(hst.tuples(pair, pool), min_size=1, max_size=4))
-            asks.append(("floors", [e for e, _ in picks], [q for _, q in picks]))
+            asks.append(("floor", src, dst, draw(pool), draw(hst.integers(min_value=1, max_value=4))))
         else:
-            src, dst = draw(pair)
             asks.append(("paths", src, dst, draw(pool), draw(cap)))
     return asks
 
@@ -73,14 +73,14 @@ def test_balls_match_distance_arrays(g, data):
 # 0-1-2-3-4 and of the C5 0-1-2-3-4-0
 _CASES = [
     # an unreachable end: no floor, no path
-    (path_graph(5), [("floors", [(0, 5)], [0b111110])], [[-1]]),
+    (path_graph(5), [("floor", 0, 5, 0b111110, 1)], [-1]),
     (path_graph(5), [("paths", 0, 5, 0b111110, 6)], [[]]),
     # adjacent ends: the edge is the one path, and the hole through it the rest
-    (cycle(5), [("floors", [(0, 1)] * 2, [0b11110] * 2), ("floors", [(0, 1)], [0b11110])], [[-1], [1]]),
+    (cycle(5), [("floor", 0, 1, 0b11110, 2), ("floor", 0, 1, 0b11110, 1)], [-1, 1]),
     (cycle(5), [("paths", 0, 1, 0b11100, 4), ("paths", 0, 1, 0b11100, 3)], [[(0, 4, 3, 2, 1)], []]),
     # a length cap below the distance, then at it, on one memo entry
     (path_graph(5), [("paths", 0, 4, 0b1110, 3), ("paths", 0, 4, 0b1110, 4)], [[], [(0, 1, 2, 3, 4)]]),
-    (path_graph(5), [("floors", [(0, 4)], [0b1110]), ("paths", 0, 4, 0b1110, 1)], [[4], []]),
+    (path_graph(5), [("floor", 0, 4, 0b1110, 1), ("paths", 0, 4, 0b1110, 1)], [4, []]),
 ]
 
 
