@@ -118,20 +118,6 @@ class Witness(Record):
 # -- chordality and holes -----------------------------------------------------
 
 
-def _simplicial(g: Graph, v: int, left: int) -> bool:
-    """Whether v's neighbors inside left are pairwise adjacent: each of them
-    sees all the others.  A bit loop, not bits(): this runs once per
-    neighbor of every eliminated vertex."""
-    nb = g.adj[v] & left
-    rest = nb
-    while rest:
-        low = rest & -rest
-        if nb & ~g.adj[low.bit_length() - 1] != low:
-            return False
-        rest ^= low
-    return True
-
-
 def perfect_elimination_order(g: Graph) -> list[int] | None:
     """Repeatedly eliminate the lowest-index simplicial vertex of what is
     left.  None when vertices remain and none of them is simplicial, which
@@ -140,7 +126,7 @@ def perfect_elimination_order(g: Graph) -> list[int] | None:
     A simplicial vertex stays simplicial when other vertices leave, so after
     each elimination only its remaining neighbors are tested again."""
     left = g.full_mask()
-    simplicial = mask_of(v for v in range(g.n) if _simplicial(g, v, left))
+    simplicial = mask_of(v for v in range(g.n) if is_clique(g, g.adj[v] & left))
     order = []
     while simplicial:
         v = (simplicial & -simplicial).bit_length() - 1
@@ -148,7 +134,7 @@ def perfect_elimination_order(g: Graph) -> list[int] | None:
         left ^= 1 << v
         simplicial ^= 1 << v
         for u in bits(g.adj[v] & left & ~simplicial):
-            if _simplicial(g, u, left):
+            if is_clique(g, g.adj[u] & left):
                 simplicial |= 1 << u
     return None if left else order
 

@@ -19,6 +19,7 @@ from .graph_core import (
     bits,
     check_scale,
     check_vertex_set,
+    edges_inside,
     induced_subgraph,
     induces,
     is_anticomplete_to,
@@ -30,7 +31,6 @@ from .structures import (
     Crystal,
     Phantom,
     crystallized_sides,
-    edges_inside,
     ekey,
     is_clear_crystal,
     is_crystallized,

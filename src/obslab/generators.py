@@ -19,14 +19,16 @@ from .graph_core import (
     bits,
     check_vertex_count,
     check_vertex_set,
+    edges_inside,
     induced_subgraph,
     line_graph,
     mask_of,
     stable_sets,
     subdivide,
+    with_vertex,
 )
 from .rng import SplitMix
-from .structures import Crystal, CrystalSpec, Phantom, edges_inside, ekey
+from .structures import Crystal, CrystalSpec, Phantom, ekey
 
 
 # -- elementary families -----------------------------------------------------
@@ -63,9 +65,7 @@ def path_graph(n: int) -> Graph:
 
 def cone(f: Graph) -> Graph:
     """f plus one universal vertex (appended last)."""
-    apex = f.n
-    edges = list(f.edges()) + [(v, apex) for v in range(f.n)]
-    return Graph.from_edges(f.n + 1, edges)
+    return with_vertex(f, f.full_mask())
 
 
 def double_star(a: int, b: int) -> tuple[Graph, tuple[int, int]]:
@@ -222,12 +222,6 @@ def k_tree_random(k: int, n: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _with_vertex(g: Graph, nb: int) -> Graph:
-    """g plus a last vertex joined to the mask nb."""
-    new = 1 << g.n
-    return Graph(g.n + 1, tuple(a | new if nb >> v & 1 else a for v, a in enumerate(g.adj)) + (nb,))
-
-
 def k_tree_enumerate(k: int, n: int):
     """All k-trees on n vertices, one per isomorphism class.
 
@@ -250,7 +244,7 @@ def k_tree_enumerate(k: int, n: int):
             for m in stable_sets([~a for a in g.adj], g.full_mask(), k):
                 if m not in lowest:
                     continue
-                cand = _with_vertex(g, m)
+                cand = with_vertex(g, m)
                 key = canonical_key(cand)
                 if key not in seen:
                     seen.add(key)
@@ -374,7 +368,7 @@ def canonical_key(g: Graph) -> tuple[int, int]:
             label = [0] * n
             for i, (v,) in enumerate(cells):
                 label[v] = i
-            mask = 0  # read from the rows: g.edges() would cache a tuple on a graph keyed once
+            mask = 0  # read from the rows, without building g's edge list
             for u, row in enumerate(adj):
                 to_u = pair[label[u]]
                 for v in bits(row & ~((2 << u) - 1)):
@@ -436,7 +430,7 @@ def enumerate_graphs(n: int) -> list[Graph]:
             d = nb.bit_count()
             if d < top or d == top and nb & tops:
                 continue
-            keys.add(canonical_key(_with_vertex(g, nb)))
+            keys.add(canonical_key(with_vertex(g, nb)))
     reps = [_graph_from_key(key) for key in sorted(keys)]
     _ISO_CACHE[n] = reps
     return reps

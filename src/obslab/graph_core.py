@@ -54,12 +54,11 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "adj", "_edges", "_atoms")
+    __slots__ = ("n", "adj", "_atoms")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
         self.adj = adj
-        self._edges: tuple[tuple[int, int], ...] | None = None
         self._atoms: tuple[int, ...] | None = None
 
     @classmethod
@@ -81,14 +80,7 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        if self._edges is None:
-            out = []
-            for u in range(self.n):
-                rest = self.adj[u] >> (u + 1)
-                for k in bits(rest):
-                    out.append((u, u + 1 + k))
-            self._edges = tuple(out)
-        return self._edges
+        return edges_inside(self.adj, self.full_mask())
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -103,10 +95,6 @@ class Graph:
         return (1 << self.n) - 1
 
     # -- derived graphs -------------------------------------------------
-
-    def complement(self) -> "Graph":
-        full = self.full_mask()
-        return Graph(self.n, tuple((full & ~a & ~(1 << v)) for v, a in enumerate(self.adj)))
 
     def relabel(self, perm: list[int]) -> "Graph":
         """New graph where old vertex v becomes perm[v]."""
@@ -257,9 +245,33 @@ def stable_sets(rows: Sequence[int], pool: int, k: int) -> Iterator[int]:
 
 
 def is_clique(g: Graph, xs: Iterable[int] | int) -> bool:
-    """Every pair adjacent; xs a vertex collection or a mask of g's vertices."""
+    """Every pair adjacent; xs a vertex collection or a mask of g's vertices.
+    A bit loop, not bits(): the perfect elimination order asks it of the
+    remaining neighbors of every neighbor of each eliminated vertex."""
     xm = xs if isinstance(xs, int) else check_vertex_set(g, xs)
-    return all((g.adj[v] & xm) == xm & ~(1 << v) for v in bits(xm))
+    adj = g.adj
+    rest = xm
+    while rest:
+        low = rest & -rest
+        if xm & ~adj[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
+    return True
+
+
+def edges_inside(adj: Sequence[int], vmask: int) -> tuple[tuple[int, int], ...]:
+    """Edges (u, v) with u < v of the graph with adjacency rows adj inside
+    the vertex mask vmask, by ascending u, then v.  The one edge lister:
+    Graph.edges is this over every vertex, rebuilt on each call.  An inner
+    bit loop, not bits(): it runs once per edge."""
+    out = []
+    for u in bits(vmask):
+        row = adj[u] & vmask & -(2 << u)  # -(2 << u): every bit above u
+        while row:
+            low = row & -row
+            out.append((u, low.bit_length() - 1))
+            row ^= low
+    return tuple(out)
 
 
 # -- clique-cutset atoms ----------------------------------------------------
@@ -360,19 +372,24 @@ def induced_subgraph(g: Graph, xs: Iterable[int]) -> tuple[Graph, dict[int, int]
     return Graph(len(old), tuple(adj)), index
 
 
+def with_vertex(g: Graph, nb: int) -> Graph:
+    """g plus a last vertex joined to the mask nb of g's vertices.  The one
+    one-vertex extension: cones, contractions and both enumerations."""
+    new = 1 << g.n
+    return Graph(g.n + 1, tuple(a | new if nb >> v & 1 else a for v, a in enumerate(g.adj)) + (nb,))
+
+
 def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph plus the map from new vertices back to old edges."""
+    """Line graph plus the map from new vertices back to old edges.  Edge i
+    sees every edge that meets either of its ends, less itself: the OR of
+    its ends' incidence masks."""
     edges = g.edges()
-    k = len(edges)
-    adj = [0] * k
-    for i in range(k):
-        a, b = edges[i]
-        for j in range(i + 1, k):
-            c, d = edges[j]
-            if a in (c, d) or b in (c, d):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(k, tuple(adj)), edges
+    incident = [0] * g.n  # incident[v]: the indices of the edges at v
+    for i, (a, b) in enumerate(edges):
+        incident[a] |= 1 << i
+        incident[b] |= 1 << i
+    adj = tuple((incident[a] | incident[b]) ^ 1 << i for i, (a, b) in enumerate(edges))
+    return Graph(len(edges), adj), edges
 
 
 def subdivide(g: Graph, times: Mapping[tuple[int, int], int]) -> Graph:
@@ -592,6 +609,19 @@ def graph_from_json_obj(obj: dict) -> Graph:
     except (KeyError, TypeError, ValueError) as exc:
         # InvalidInput from json_int is a ValueError and gets the same prefix
         raise InvalidInput(f"malformed graph object: {exc}") from exc
+    return _from_listed_edges(n, edges)
+
+
+def _from_listed_edges(n: int, edges: list[tuple[int, int]]) -> Graph:
+    """The graph of an edge list read from outside: Graph.from_edges, but an
+    edge listed twice, in either orientation, raises InvalidInput naming it
+    instead of being read as one edge."""
+    seen = set()
+    for u, v in edges:
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise InvalidInput(f"edge ({u},{v}) is listed twice")
+        seen.add(key)
     return Graph.from_edges(n, edges)
 
 
@@ -628,4 +658,4 @@ def from_edge_list(text: str) -> Graph:
         raise InvalidInput(f"malformed edge-list text: {exc}") from exc
     if len(edges) != m:
         raise InvalidInput(f"header declares {m} edges, found {len(edges)}")
-    return Graph.from_edges(n, edges)
+    return _from_listed_edges(n, edges)

@@ -9,7 +9,7 @@ re-checked against a rebuilt or deserialized graph.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InvalidInput
 from .graph_core import (
@@ -17,6 +17,8 @@ from .graph_core import (
     Record,
     bits,
     check_vertex_set,
+    edges_inside,
+    induced_subgraph,
     induces,
     is_complete_to,
     json_int,
@@ -24,23 +26,13 @@ from .graph_core import (
     mask_of,
     path_from_vertices,
     text_int,
+    with_vertex,
 )
 
 
 def ekey(u: int, v: int) -> tuple[int, int]:
     """Canonical (min, max) key for an undirected edge."""
     return (u, v) if u < v else (v, u)
-
-
-def edges_inside(adj: Sequence[int], vmask: int) -> list[tuple[int, int]]:
-    """Edges (u, v) with u < v of the graph with adjacency rows adj inside
-    the vertex mask vmask, by ascending u, then v."""
-    out = []
-    for u in bits(vmask):
-        for v in bits(adj[u] & vmask):
-            if v > u:
-                out.append((u, v))
-    return out
 
 
 class StructureViolation(Record):
@@ -339,20 +331,12 @@ def contraption(g: Graph, z1: int, z2: int) -> tuple[Graph, int, dict[int, int]]
     check_vertex_set(g, (z1, z2))
     if not g.has_edge(z1, z2):
         raise InvalidInput(f"{z1},{z2} is not an edge")
-    common = g.adj[z1] & g.adj[z2]
-    rest = [v for v in range(g.n) if v not in (z1, z2)]
-    index = {v: i for i, v in enumerate(rest)}
-    zed = len(rest)
-    edges = []
-    for u, v in g.edges():
-        if u in (z1, z2) or v in (z1, z2):
-            continue
-        edges.append((index[u], index[v]))
-    for v in bits(common):
-        edges.append((index[v], zed))
+    h, index = induced_subgraph(g, bits(g.full_mask() ^ 1 << z1 ^ 1 << z2))
+    zed = h.n
     index[z1] = zed
     index[z2] = zed
-    return Graph.from_edges(zed + 1, edges), zed, index
+    common = mask_of(index[v] for v in bits(g.adj[z1] & g.adj[z2]))
+    return with_vertex(h, common), zed, index
 
 
 # -- crystallized vertices -------------------------------------------------------

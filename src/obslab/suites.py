@@ -218,10 +218,11 @@ def _check_crystal_outcome(host, ph, out, f, g_par, r):
         c = out.payload
         if st.validate_crystal(host, c) is not None:
             return False, {"variant": "crystal"}
-        if host.n <= 24:
+        try:
             found = ext.brute_force_crystal(host, f, g_par)
-            return found is not None, {"variant": "crystal", "brute": True}
-        return True, {"variant": "crystal"}
+        except ScaleLimit:  # too large for the exhaustive search's own guard
+            return True, {"variant": "crystal"}
+        return found is not None, {"variant": "crystal", "brute": True}
     if out.variant == "clique-family":
         fam = out.payload
         base = sorted(ph.layers[0])

