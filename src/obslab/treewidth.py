@@ -10,13 +10,30 @@ Bound-sandwich shortcuts and pruning by the heuristic upper bound keep the
 table small on the sparse inputs this package cares about.  When the
 sandwich does not close, a graph with a clique cutset is solved atom by atom
 (graph_core.atoms) and the atoms' decompositions are glued along their
-clique separators; the width is the largest over the atoms.
+clique separators; the width is the largest over the atoms.  On one atom,
+two safe reduction rules (van den Eijkhof, Bodlaender and Koster, "Safe
+reduction rules for weighted treewidth", Algorithmica 47, 2007) play the
+first moves of the game before the table is built, with a lower bound low
+that starts at degeneracy: a simplicial vertex of degree d goes and raises
+low to d, and an almost-simplicial vertex, whose neighbours but one form a
+clique, goes when its degree is at most low (of degree 2, the series rule).
+The table then covers only the fill graph of what is left.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInput
-from .graph_core import Graph, Record, atoms, bits, check_scale, induced_subgraph, mask_of, text_int
+from .graph_core import (
+    Graph,
+    Record,
+    atoms,
+    bits,
+    check_scale,
+    induced_subgraph,
+    is_clique,
+    mask_of,
+    text_int,
+)
 
 DEFAULT_EXACT_GUARD = 22
 
@@ -50,6 +67,15 @@ def _reach_mask(g: Graph, prefix: int, v: int) -> int:
     return reach & ~prefix & ~(1 << v)
 
 
+def _fill_in(adj: list[int], active: int, v: int) -> int:
+    """One move of the elimination game: v's active neighbours become a
+    clique of the fill graph adj.  They are returned."""
+    nb = adj[v] & active
+    for u in bits(nb):
+        adj[u] |= nb & ~(1 << u)
+    return nb
+
+
 def _eliminate(g: Graph, choose) -> TreeDecomposition:
     """The elimination game: choose(adj, active) names the next vertex, whose
     bag is itself and its active fill-graph neighbours, the vertices it
@@ -63,9 +89,7 @@ def _eliminate(g: Graph, choose) -> TreeDecomposition:
     bag_masks = []
     while active:
         v = choose(adj, active)
-        nb = adj[v] & active
-        for u in bits(nb):
-            adj[u] |= nb & ~(1 << u)
+        nb = _fill_in(adj, active, v)
         active &= ~(1 << v)
         order.append(v)
         bag_masks.append(nb | (1 << v))
@@ -166,29 +190,38 @@ def _glue(parts: tuple[int, ...], tds: list[TreeDecomposition]) -> TreeDecomposi
     )
 
 
-def treewidth_exact(
-    g: Graph, guard: int = DEFAULT_EXACT_GUARD
-) -> tuple[int, TreeDecomposition]:
-    """Optimal width with a certifying decomposition.  When the bound
-    sandwich does not close and g has a clique cutset, each atom is solved
-    on its own and the decompositions are glued along the clique
-    separators: clique separators are safe for treewidth (Bodlaender and
-    Koster, "Safe separators for treewidth", Discrete Math. 306, 2006), so
-    the width is the largest over the atoms.  The guard applies to g."""
-    check_scale(g, guard, "treewidth_exact")
-    n = g.n
-    lb = tw_lower(g)
-    ub, td = tw_upper(g)
-    if lb >= ub:
-        return ub, td
-    parts = atoms(g)
-    if len(parts) > 1:
-        solved = [treewidth_exact(induced_subgraph(g, bits(p))[0], guard) for p in parts]
-        return max(w for w, _ in solved), _glue(parts, [td for _, td in solved])
+def _reduce(g: Graph, low: int) -> tuple[int, list[int], int, Graph]:
+    """The safe reduction rules, each move the lowest-index reducible vertex:
+    a simplicial vertex of degree d raises low to d; an almost-simplicial
+    one goes only when its degree is at most low.  Since low <= tw(g)
+    throughout, tw(g) = max(low, tw(fill)) after each move.  Returns low,
+    the vertices eliminated in order, the mask of those left, and the fill
+    graph, whose rows still name eliminated vertices; mask them out."""
+    fill = Graph(g.n, list(g.adj))
+    active = g.full_mask()
+    reduced = []
+    while True:
+        for v in bits(active):
+            nb = fill.adj[v] & active
+            if is_clique(fill, nb):
+                low = max(low, nb.bit_count())
+                break
+            if nb.bit_count() <= low and any(is_clique(fill, nb & ~(1 << u)) for u in bits(nb)):
+                break
+        else:
+            return low, reduced, active, fill
+        _fill_in(fill.adj, active, v)
+        active &= ~(1 << v)
+        reduced.append(v)
+
+
+def _subset_dp(g: Graph, ub: int) -> tuple[int, list[int]] | None:
+    """The least width below ub of an elimination order of g, with such an
+    order; None when every order reaches ub."""
     full = g.full_mask()
     cur: dict[int, int] = {0: -1}
     parent: dict[int, int] = {}
-    for _ in range(n):
+    for _ in range(g.n):
         nxt: dict[int, int] = {}
         for prefix in sorted(cur):
             w = cur[prefix]
@@ -204,19 +237,47 @@ def treewidth_exact(
                     parent[grown] = v
         cur = nxt
         if not cur:
-            break
-    if full in cur:
-        rev = []
-        s = full
-        while s:
-            v = parent[s]
-            rev.append(v)
-            s ^= 1 << v
-        order = rev[::-1]
-        td2 = decomposition_from_order(g, order)
-        assert td2.width == cur[full], "reconstruction disagrees with the table"
-        return cur[full], td2
-    return ub, td
+            return None
+    rev = []
+    s = full
+    while s:
+        v = parent[s]
+        rev.append(v)
+        s ^= 1 << v
+    return cur[full], rev[::-1]
+
+
+def treewidth_exact(
+    g: Graph, guard: int = DEFAULT_EXACT_GUARD
+) -> tuple[int, TreeDecomposition]:
+    """Optimal width with a certifying decomposition.  When the bound
+    sandwich does not close and g has a clique cutset, each atom is solved
+    on its own and the decompositions are glued along the clique
+    separators: clique separators are safe for treewidth (Bodlaender and
+    Koster, "Safe separators for treewidth", Discrete Math. 306, 2006), so
+    the width is the largest over the atoms.  One atom is reduced first
+    (_reduce), and the subset DP orders the fill graph left.  The guard
+    applies to g."""
+    check_scale(g, guard, "treewidth_exact")
+    lb = tw_lower(g)
+    ub, td = tw_upper(g)
+    if lb >= ub:
+        return ub, td
+    parts = atoms(g)
+    if len(parts) > 1:
+        solved = [treewidth_exact(induced_subgraph(g, bits(p))[0], guard) for p in parts]
+        return max(w for w, _ in solved), _glue(parts, [td for _, td in solved])
+    low, reduced, active, fill = _reduce(g, lb)
+    if low >= ub:
+        return ub, td
+    found = _subset_dp(induced_subgraph(fill, bits(active))[0], ub)
+    if found is None:
+        return ub, td
+    width, order = found
+    left = list(bits(active))
+    td2 = decomposition_from_order(g, reduced + [left[v] for v in order])
+    assert td2.width == max(low, width), "reconstruction disagrees with the table"
+    return td2.width, td2
 
 
 def verify_decomposition(g: Graph, td: TreeDecomposition) -> DecompositionViolation | None:

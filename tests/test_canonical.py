@@ -18,10 +18,11 @@ def perm_min_key(g: Graph) -> tuple[int, int]:
     """(n, smallest edge bitmask over all n! relabellings), pairs numbered in
     lexicographic order; exact but factorial, so only for small n."""
     pair = {e: k for k, e in enumerate(itertools.combinations(range(g.n), 2))}
+    edges = g.edges()
     best = None
     for perm in itertools.permutations(range(g.n)):
         mask = 0
-        for u, v in g.edges():
+        for u, v in edges:
             a, b = sorted((perm[u], perm[v]))
             mask |= 1 << pair[(a, b)]
         if best is None or mask < best:

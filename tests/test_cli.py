@@ -56,6 +56,17 @@ def test_pipeline_wall_tw():
     assert header[:2] == ["s", "td"] and int(header[3]) - 1 == 3
 
 
+def test_pipeline_wall_4_exact_past_the_default_guard():
+    # 38 vertices: the reduction rules leave the DP a small fill graph
+    _, g = run_cli(["gen", "wall", "4"])
+    code, out = run_cli(["tw", "--exact-guard", "38"], g)
+    assert code == 0
+    header = out.splitlines()[0].split()
+    assert header[:2] == ["s", "td"] and int(header[3]) - 1 == 4 and int(header[4]) == 38
+    payload = json.dumps({"graph": json.loads(g), "decomposition": out})
+    assert run_cli(["validate", "decomposition"], payload) == (0, '{"valid":true}\n')
+
+
 def test_pipeline_detect():
     _, g = run_cli(["gen", "cone-path", "2"])
     code, out = run_cli(["detect", "even-hole"], g)

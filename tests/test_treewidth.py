@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from obslab.errors import InvalidInput, ScaleLimit
 from obslab.generators import (
     _brick_wall,
+    basic_obstruction,
     complete,
     complete_bipartite,
     cycle,
@@ -139,6 +140,14 @@ def test_wall_calibration():
     assert treewidth_exact(wall(1))[0] == 2
     assert treewidth_exact(wall(2))[0] == 2
     assert treewidth_exact(wall(3))[0] == 3
+
+
+def test_wall_obstruction_exact_past_the_default_guard():
+    # 108 vertices, one atom; the reduction rules leave the DP a small fill graph
+    g = basic_obstruction(4, "wall", 5)
+    width, td = treewidth_exact(g, guard=108)
+    assert width == 4 == td.width
+    assert verify_decomposition(g, td) is None
 
 
 @given(graphs(min_n=1, max_n=8))

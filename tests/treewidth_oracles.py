@@ -1,9 +1,11 @@
-"""Earlier treewidth routes, kept as oracles for the one elimination game and
-the one lower bound in `obslab.treewidth`: degeneracy beside the clique
-bound, the greedy min-fill and min-degree orders, and the decomposition that
-rebuilds each bag by a reach search through the vertices eliminated
-earlier."""
+"""Earlier treewidth routes, kept as oracles for the one elimination game,
+the one lower bound and the reduced exact solver in `obslab.treewidth`:
+degeneracy beside the clique bound, the greedy min-fill and min-degree
+orders, the decomposition that rebuilds each bag by a reach search through
+the vertices eliminated earlier, and the subset DP over the whole graph with
+no atoms and no reduction rules."""
 
+from obslab import treewidth as tw
 from obslab.detectors import max_clique
 from obslab.graph_core import Graph, bits
 from obslab.treewidth import TreeDecomposition, _reach_mask
@@ -92,3 +94,34 @@ def tw_upper_by_orders(g: Graph) -> tuple[int, TreeDecomposition]:
         if best is None or td.width < best[0]:
             best = (td.width, td)
     return best
+
+
+def treewidth_unreduced(g: Graph) -> tuple[int, TreeDecomposition]:
+    """The bound sandwich, then the subset DP over every elimination prefix
+    of the whole of g, pruned by the heuristic upper bound.  Reach searches
+    go through tw._reach_mask, so a test can count them."""
+    lb = tw.tw_lower(g)
+    ub, td = tw.tw_upper(g)
+    if lb >= ub:
+        return ub, td
+    full = g.full_mask()
+    cur: dict[int, int] = {0: -1}
+    parent: dict[int, int] = {}
+    for _ in range(g.n):
+        nxt: dict[int, int] = {}
+        for prefix in sorted(cur):
+            for v in bits(full & ~prefix):
+                nw = max(cur[prefix], tw._reach_mask(g, prefix, v).bit_count())
+                grown = prefix | (1 << v)
+                if nw < ub and nw < nxt.get(grown, ub):
+                    nxt[grown] = nw
+                    parent[grown] = v
+        cur = nxt
+        if not cur:
+            return ub, td
+    rev = []
+    s = full
+    while s:
+        rev.append(parent[s])
+        s ^= 1 << rev[-1]
+    return cur[full], tw.decomposition_from_order(g, rev[::-1])
