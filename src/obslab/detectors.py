@@ -18,6 +18,7 @@ reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
@@ -44,7 +45,7 @@ class _Budget:
     """Search nodes left for one finder call, and that call's distance memo:
     the graph does not change during the call, so the ball around a vertex
     inside a mask (see _Ball) is grown once, however many atoms, candidates,
-    roots and length caps ask _to_dst for it."""
+    roots, length caps and prism corner screens ask for it."""
 
     __slots__ = ("left", "what", "balls")
 
@@ -57,6 +58,13 @@ class _Budget:
         self.left -= 1
         if self.left < 0:
             raise ScaleLimit(f"{self.what}: search budget exhausted")
+
+    def ball(self, g: Graph, end: int, mask: int) -> _Ball:
+        """The ball around end inside mask, grown on the first ask."""
+        ball = self.balls.get((end, mask))
+        if ball is None:
+            ball = self.balls[end, mask] = _Ball(g, end, mask)
+        return ball
 
 
 class _Ball(list):
@@ -92,14 +100,14 @@ class _Ball(list):
 
     def radius_holding(self, mask: int, m: int) -> int:
         """The least d with m vertices of mask in ball[d], or -1 when the
-        whole component holds fewer."""
-        for d, reach in enumerate(self):
-            if (reach & mask).bit_count() >= m:
-                return d
-        for reach in self._more():
-            if (reach & mask).bit_count() >= m:
-                return len(self) - 1
-        return -1
+        whole component holds fewer.  The balls are nested, so among those
+        kept the least is found by bisection."""
+        if (self[-1] & mask).bit_count() < m:
+            for reach in self._more():
+                if (reach & mask).bit_count() >= m:
+                    return len(self) - 1
+            return -1
+        return bisect_left(self, m, key=lambda reach: (reach & mask).bit_count())
 
 
 class Witness(Record):
@@ -286,11 +294,7 @@ def _to_dst(
     """The interior pool of src-dst paths, and the ball around dst inside
     the pool plus both ends, from the finder call's memo."""
     pool = interior_allowed & ~(1 << src) & ~(1 << dst)
-    key = (dst, pool | (1 << src) | (1 << dst))
-    ball = budget.balls.get(key)
-    if ball is None:
-        ball = budget.balls[key] = _Ball(g, *key)
-    return pool, ball
+    return pool, budget.ball(g, dst, pool | (1 << src) | (1 << dst))
 
 
 def _floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: _Budget) -> int:
@@ -356,15 +360,33 @@ def _anticomplete_paths(
     """For each ask (src, dst, pool, m) in turn, m induced src-dst paths of
     length <= cap with interiors in pool, all interiors pairwise disjoint
     and anticomplete: the first such tuple in deterministic order, or None.
-    No path is enumerated unless the floor of every ask fits under cap."""
+    No path is enumerated unless the floor of every ask fits under cap.
+
+    The m paths of one ask are taken by rising first vertex: the first may
+    not start at any of src's m - 1 highest neighbours in the pool, and the
+    asks left lose src's neighbours up to its first vertex.  The first
+    tuple stays the same.  Without the rule it holds P, the first path with
+    a completion, then P's first completion.  A path Q of that completion
+    starting below P's first vertex would be completed by P and the rest,
+    since disjoint anticomplete paths can be listed in any order, so Q
+    would come before P."""
     if not all(0 < _floor(g, *ask, budget) <= cap for ask in asks):
         return None
     src, dst, pool, m = asks[0]
-    rest = asks[1:] if m == 1 else ((src, dst, pool, m - 1), *asks[1:])
-    # the direct edge makes every longer sequence non-induced
-    edge = g.has_edge(src, dst)
-    for p in [(src, dst)] if edge else _induced_paths(g, src, dst, pool, cap, budget):
-        if not rest:
+    if g.has_edge(src, dst):
+        # the direct edge makes every longer sequence non-induced; m is 1
+        paths: Iterable[tuple[int, ...]] = [(src, dst)]
+    else:
+        # src's m - 1 highest neighbours in the pool, left to the paths after the first
+        later = 0
+        for _ in range(m - 1):
+            later |= 1 << (g.adj[src] & pool & ~later).bit_length() - 1
+        paths = _induced_paths(g, src, dst, pool & ~later, cap, budget)
+    rest = asks[1:]
+    for p in paths:
+        if m > 1:
+            rest = ((src, dst, pool & ~(g.adj[src] & (2 << p[1]) - 1), m - 1), *asks[1:])
+        elif not rest:
             return (p,)
         inner = mask_of(p[1:-1])
         ban = inner | g.neighborhood(inner)
@@ -374,28 +396,34 @@ def _anticomplete_paths(
     return None
 
 
-def _shortest_three_paths(g: Graph, part: int, candidates: list, budget: _Budget):
-    """Cap deepening over candidates, a list of (key, asks) built once per
-    search of the vertex mask part, every pool inside it: at each cap, the
-    first candidate with anticomplete paths of length <= cap gives (cap,
-    (key, paths)), else None.  Caps stop at the size of part, which no path
-    inside it exceeds.
+def _shortest_three_paths(g: Graph, part: int, candidates: Iterable, asks_of, budget: _Budget):
+    """Cap deepening over candidates, (bound, key) pairs in search order for
+    the vertex mask part: bound is a lower bound on the longest path of the
+    key's asks, asks_of(key), every pool inside part, or -1 when they
+    cannot exist.  At each cap, the first candidate with anticomplete paths
+    of length <= cap gives (cap, (key, paths)), else None.  Caps stop at the
+    size of part, which no path inside it exceeds.
 
-    Each candidate's first floor (its first ask's) is computed once.  A
-    candidate is searched only at caps from its first floor up, and
-    deepening starts at the smallest first floor, since no cap below it can
-    succeed.  Every candidate was searched exhaustively at cap - 1, so the
-    longest path found has length exactly cap: shortest first."""
-    firsts = [_floor(g, *asks[0], budget) for _, asks in candidates]
-    first_cap = min((f for f in firsts if f > 0), default=None)
-    if first_cap is None:
-        return None
-    for cap in range(first_cap, part.bit_count() + 1):
-        for first, (key, asks) in zip(firsts, candidates):
-            if 0 < first <= cap:
-                paths = _anticomplete_paths(g, asks, cap, budget)
-                if paths is not None:
-                    return cap, (key, paths)
+    A candidate is searched only at caps from its bound up, in search
+    order, and its asks are built at the first of them; deepening starts at
+    the smallest bound.  _anticomplete_paths grows no path below the floor
+    of every ask, and each floor is at least the bound, so the same
+    candidates reach _induced_paths at each cap as if every one were
+    searched at every cap.  Every candidate was searched exhaustively at
+    cap - 1, so the longest path found has length exactly cap: shortest
+    first."""
+    fits: dict[int, list] = {}
+    for index, (bound, key) in enumerate(candidates):
+        if bound > 0:
+            fits.setdefault(bound, []).append((index, key))
+    live: list = []  # (index, key, asks) of the candidates whose bound fits, in search order
+    for cap in range(min(fits, default=part.bit_count() + 1), part.bit_count() + 1):
+        fresh = [(index, key, asks_of(key)) for index, key in fits.get(cap, ())]
+        live = sorted(live + fresh)
+        for _, key, asks in live:
+            paths = _anticomplete_paths(g, asks, cap, budget)
+            if paths is not None:
+                return cap, (key, paths)
     return None
 
 
@@ -406,15 +434,20 @@ def _claw_centre(g: Graph, v: int, part: int) -> bool:
 
 def _first_theta(g: Graph, part: int, budget: _Budget):
     """(cap, ((a, z), paths)) of the shortest-first theta inside part, or
-    None.  Only a claw centre of part can be an end."""
+    None.  Only a claw centre of part can be an end; a pair of ends is
+    bounded by its first floor."""
     ends = [v for v in bits(part) if _claw_centre(g, v, part)]
+
+    def asks_of(key):
+        return ((*key, part & ~mask_of(key), 3),)
+
     candidates = [
-        ((a, z), ((a, z, part & ~mask_of((a, z)), 3),))
+        (_floor(g, *asks_of((a, z))[0], budget), (a, z))
         for a in ends
         for z in ends
         if z > a and not g.has_edge(a, z)
     ]
-    return _shortest_three_paths(g, part, candidates, budget)
+    return _shortest_three_paths(g, part, candidates, asks_of, budget)
 
 
 def find_theta(
@@ -445,26 +478,61 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
     part, or None: t1 before t2 among the triangles inside part, ascending
     triples in lexicographic order (the stable 3-sets of the complement,
     whose rows ~g.adj[v] cost less than a complement graph per atom),
-    matched the permutation of t2 whose corners the paths reach."""
+    matched the permutation of t2 whose corners the paths reach.
+
+    Each candidate is screened from its corners before any pool floor is
+    asked.  A corner v of triangle t has one ball, inside part minus t and
+    the neighbourhood of t's other corners.  The pool of an ask (u, w) and
+    both its ends lie inside the corner masks of u and of w: the matching
+    keeps w off the other corners of u's triangle and their neighbours, and
+    u off those of w's.  So the larger of w's radius in u's ball and u's
+    radius in w's ball bounds the pool floor from below, and the largest
+    of a candidate's three screens bounds its paths."""
     tris = [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], part, 3)]
-    # per corner, the neighborhood of the other two corners of its triangle
-    others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
-    candidates = []
-    for i, t1 in enumerate(tris):
-        t1m = mask_of(t1)
-        for j in range(i + 1, len(tris)):
-            t2, t2m = tris[j], mask_of(tris[j])
-            if t1m & t2m:
-                continue
-            for matched in permutations(t2):
-                pairs = tuple(zip(t1, matched))
-                # corners may touch only their matched partner across the triangles
-                if any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
+    # per triangle and corner v: part minus the triangle and the
+    # neighbourhood of its other two corners, and v
+    corner = {t: {v: part & ~(mask_of(t) | g.neighborhood(mask_of(t) & ~(1 << v))) | 1 << v for v in t} for t in tris}
+
+    def radius(t: tuple, v: int, u: int) -> int:
+        """u's radius in the ball of t's corner v, or -1 outside it."""
+        return budget.ball(g, v, corner[t][v]).radius_holding(1 << u, 1)
+
+    def bound(t1: tuple, t2: tuple, pairs: tuple, screens: dict) -> int:
+        """The largest screen of the matched corner pairs, or -1 when an
+        end is out of reach; screens keeps each pair's screen for the
+        triangle pair, the second radius read only when the first is
+        not -1."""
+        top = 0
+        for u, w in pairs:
+            if (u, w) not in screens:
+                d = radius(t1, u, w)
+                e = radius(t2, w, u) if d > 0 else -1
+                screens[u, w] = -1 if e < 0 else max(d, e)
+            if screens[u, w] < 0:
+                return -1
+            top = max(top, screens[u, w])
+        return top
+
+    def asks_of(key):
+        # interiors avoid all six corners and every other corner's neighbourhood
+        t1, t2, matched = key
+        return tuple((u, w, corner[t1][u] & corner[t2][w] & ~(1 << u | 1 << w), 1) for u, w in zip(t1, matched))
+
+    def candidates():
+        for i, t1 in enumerate(tris):
+            t1m = mask_of(t1)
+            for t2 in tris[i + 1 :]:
+                t2m = mask_of(t2)
+                if t1m & t2m:
                     continue
-                # interiors avoid all six corners and every other corner's neighborhood
-                asks = tuple((u, w, part & ~(t1m | t2m | others[i][u] | others[j][w]), 1) for u, w in pairs)
-                candidates.append(((t1, t2, matched), asks))
-    return _shortest_three_paths(g, part, candidates, budget)
+                screens: dict[tuple[int, int], int] = {}
+                for matched in permutations(t2):
+                    pairs = tuple(zip(t1, matched))
+                    # corners may touch only their matched partner across the triangles
+                    if not any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
+                        yield bound(t1, t2, pairs, screens), (t1, t2, matched)
+
+    return _shortest_three_paths(g, part, candidates(), asks_of, budget)
 
 
 def find_prism(

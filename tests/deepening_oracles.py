@@ -11,6 +11,11 @@ Below them, the distance memo the finders kept before it held balls: each
 distance search run to exhaustion into an array of every vertex's distance,
 read per candidate.  distance_arrays() runs the finders on it, with the
 finders' own budget and order.
+
+Last, the memoised route the finders took before a prism candidate was
+screened from its triangle corners and the paths of one theta ask were
+taken by rising first vertex: eager_first_floors() runs the finders on it,
+and spent() reports a finder call's search nodes and distance searches.
 """
 
 from array import array
@@ -124,11 +129,20 @@ def prism_by_deepening(g: Graph):
 
 class DistanceBudget(detectors._Budget):
     """The finder call's budget, its memo holding one distance array per
-    (end, mask)."""
+    (end, mask) of a floor or path search, and each prism corner's ball
+    run to exhaustion."""
 
     def __init__(self, nodes: int, what: str):
         super().__init__(nodes, what)
         self.dists: dict[tuple[int, int], array] = {}
+
+    def ball(self, g: Graph, end: int, mask: int):
+        """A prism corner's ball, grown to exhaustion when it is made."""
+        made = (end, mask) not in self.balls
+        ball = super().ball(g, end, mask)
+        if made:
+            ball.upto(g.n)
+        return ball
 
 
 def to_dst(g: Graph, src: int, dst: int, interior_allowed: int, budget: DistanceBudget):
@@ -189,3 +203,103 @@ def distance_arrays():
         detectors, _Budget=DistanceBudget, _floor=floor, _induced_paths=induced_paths
     ):
         yield
+
+
+# -- eager first floors ------------------------------------------------------------
+
+
+def anticomplete_paths(g: Graph, asks, cap: int, budget):
+    """detectors._anticomplete_paths with the m paths of one ask in any
+    order of first vertices: each path is followed by every completion."""
+    if not all(0 < detectors._floor(g, *ask, budget) <= cap for ask in asks):
+        return None
+    src, dst, pool, m = asks[0]
+    rest = asks[1:] if m == 1 else ((src, dst, pool, m - 1), *asks[1:])
+    edge = g.has_edge(src, dst)
+    for p in [(src, dst)] if edge else detectors._induced_paths(g, src, dst, pool, cap, budget):
+        if not rest:
+            return (p,)
+        inner = mask_of(p[1:-1])
+        ban = inner | g.neighborhood(inner)
+        found = anticomplete_paths(g, tuple((s, d, q & ~ban, k) for s, d, q, k in rest), cap, budget)
+        if found is not None:
+            return (p, *found)
+    return None
+
+
+def shortest_three_paths(g: Graph, part: int, candidates, budget):
+    """detectors._shortest_three_paths over a list of (key, asks), every
+    pool built up front and every candidate's first floor asked before the
+    first cap."""
+    firsts = [detectors._floor(g, *asks[0], budget) for _, asks in candidates]
+    first_cap = min((f for f in firsts if f > 0), default=None)
+    if first_cap is None:
+        return None
+    for cap in range(first_cap, part.bit_count() + 1):
+        for first, (key, asks) in zip(firsts, candidates):
+            if 0 < first <= cap:
+                paths = anticomplete_paths(g, asks, cap, budget)
+                if paths is not None:
+                    return cap, (key, paths)
+    return None
+
+
+def first_theta(g: Graph, part: int, budget):
+    ends = [v for v in bits(part) if detectors._claw_centre(g, v, part)]
+    candidates = [
+        ((a, z), ((a, z, part & ~mask_of((a, z)), 3),))
+        for a in ends
+        for z in ends
+        if z > a and not g.has_edge(a, z)
+    ]
+    return shortest_three_paths(g, part, candidates, budget)
+
+
+def first_prism(g: Graph, part: int, budget):
+    tris = [t for t in triangles(g) if mask_of(t) & part == mask_of(t)]
+    others = [{v: g.neighborhood(mask_of(t) & ~(1 << v)) for v in t} for t in tris]
+    candidates = []
+    for i, t1 in enumerate(tris):
+        t1m = mask_of(t1)
+        for j in range(i + 1, len(tris)):
+            t2, t2m = tris[j], mask_of(tris[j])
+            if t1m & t2m:
+                continue
+            for matched in permutations(t2):
+                pairs = tuple(zip(t1, matched))
+                if any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
+                    continue
+                asks = tuple((u, w, part & ~(t1m | t2m | others[i][u] | others[j][w]), 1) for u, w in pairs)
+                candidates.append(((t1, t2, matched), asks))
+    return shortest_three_paths(g, part, candidates, budget)
+
+
+@contextmanager
+def eager_first_floors():
+    """Within the block, find_theta and find_prism take the route they took
+    before corner screens and ordered paths: every candidate's pools built
+    and its first floor asked before the first cap, and the paths of one
+    ask in any order of first vertices.  Same memo, atoms and budget."""
+    with mock.patch.multiple(detectors, _first_theta=first_theta, _first_prism=first_prism):
+        yield
+
+
+class SpentBudget(detectors._Budget):
+    """A finder call's budget that records itself in SpentBudget.made."""
+
+    made: list = []
+
+    def __init__(self, nodes: int, what: str):
+        super().__init__(nodes, what)
+        self.start = nodes
+        SpentBudget.made.append(self)
+
+
+def spent(finder, g: Graph, **kw):
+    """(witness, search nodes spent, distance searches started) of one
+    finder call."""
+    with mock.patch.object(detectors, "_Budget", SpentBudget):
+        SpentBudget.made = []
+        w = finder(g, **kw)
+    (budget,) = SpentBudget.made
+    return w, budget.start - budget.left, len(budget.balls)

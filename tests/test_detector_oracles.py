@@ -15,11 +15,11 @@ from obslab.generators import (
     random_digraph,
     random_graph,
 )
-from obslab.graph_core import Graph, bits, mask_of, stable_sets
+from obslab.graph_core import Graph, atoms, bits, mask_of, stable_sets
 from obslab.rng import SplitMix
 
 from .conftest import graphs
-from .deepening_oracles import prism_by_deepening, theta_by_deepening, triangles
+from .deepening_oracles import eager_first_floors, prism_by_deepening, spent, theta_by_deepening, triangles
 from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles, hole_by_shortest_path
 from .subset_oracles import (
     chain_by_recursion,
@@ -186,27 +186,115 @@ def test_find_hole_matches_first_discoverer_bfs():
     assert holes > 100
 
 
+def _three_path_detail(w):
+    return None if w is None else tuple(w.detail_map().values())
+
+
 def test_three_path_finders_match_plain_deepening():
-    # memoised distances and first-feasible-cap deepening against the plain
-    # route, on the t=3 obstructions: the same key and paths, or both None.
-    # Walls have no triangle.  Line graphs are claw-free and so hold no
-    # theta: the finder tries no end there, but the plain route tries every
-    # vertex of degree >= 3 and would search until it exhausts.
-    rng = SplitMix(29)
+    # memoised distances, corner screens, ordered paths and first-feasible-cap
+    # deepening against the plain route, on the t=3 and t=4 obstructions and
+    # every class on at most 7 vertices: the same key and paths, or both
+    # None.  Walls have no triangle.  Line graphs are claw-free and so hold
+    # no theta: the finder tries no end there, but the plain route tries
+    # every vertex of degree >= 3 and would search until it exhausts.
     found = 0
-    for _ in range(4):
-        seed = rng.next_u64()
-        for kind in ("wall", "biclique", "line_of_wall"):
-            g = basic_obstruction(3, kind, seed=seed)
-            searches = [(det.find_prism, prism_by_deepening)]
-            if kind != "line_of_wall":
-                searches.append((det.find_theta, theta_by_deepening))
-            for finder, oracle in searches:
-                w = finder(g, guard=128)
-                assert (None if w is None else tuple(w.detail_map().values())) == oracle(g)
-                found += w is not None
+    for t, seeds in ((3, 4), (4, 2)):
+        rng = SplitMix(29)
+        for _ in range(seeds):
+            seed = rng.next_u64()
+            for kind in ("wall", "biclique", "line_of_wall"):
+                g = basic_obstruction(t, kind, seed=seed)
+                searches = [(det.find_prism, prism_by_deepening)]
+                if kind != "line_of_wall":
+                    searches.append((det.find_theta, theta_by_deepening))
+                for finder, oracle in searches:
+                    w = finder(g, guard=128)
+                    assert _three_path_detail(w) == oracle(g)
+                    found += w is not None
     # theta in each wall and biclique, prism in each line graph
-    assert found == 4 * 3
+    assert found == 6 * 3
+    found = 0
+    for n in range(8):
+        for g in enumerate_graphs(n):
+            for finder, oracle in ((det.find_prism, prism_by_deepening), (det.find_theta, theta_by_deepening)):
+                w = finder(g)
+                assert _three_path_detail(w) == oracle(g)
+                found += w is not None
+    assert found > 0
+
+
+def test_three_path_finders_match_the_eager_route():
+    # corner screens, lazy pools and ordered paths against the memoised route
+    # they replaced (eager first floors and pools, paths in any order): the
+    # same witness; for prisms the same search nodes, since the same
+    # candidates reach the path search; for thetas never more nodes
+    work = {}
+    for t in range(3, 7):
+        for seed in range(3):
+            for kind in ("wall", "line_of_wall", "biclique"):
+                g = basic_obstruction(t, kind, seed=seed)
+                for finder in (det.find_theta, det.find_prism):
+                    w, nodes, searches = spent(finder, g, guard=g.n)
+                    with eager_first_floors():
+                        w_eager, nodes_eager, searches_eager = spent(finder, g, guard=g.n)
+                    assert w == w_eager
+                    assert nodes == nodes_eager if finder is det.find_prism else nodes <= nodes_eager
+                    if w is not None:
+                        work[t, seed, kind, finder.__name__] = (nodes, searches, nodes_eager, searches_eager)
+    # theta in each wall and biclique, prism in each line graph
+    assert len(work) == 4 * 3 * 3
+    # the work follows the witness: at t=6, seed 1 the prism starts at most
+    # a tenth of the distance searches, corner balls included (181 against
+    # 5,137), and the theta spends at most a third of the search nodes
+    # (3,387 against 25,732)
+    _, searches, _, searches_eager = work[6, 1, "line_of_wall", "find_prism"]
+    assert 10 * searches <= searches_eager
+    nodes, _, nodes_eager, _ = work[6, 1, "wall", "find_theta"]
+    assert 3 * nodes <= nodes_eager
+
+
+def _subdivided_k2(k, seed):
+    """K_{2,k} on ends 0 and 1, each of its k paths given 1 to 3 seeded
+    interior vertices, then up to 3 seeded chords between the interiors of
+    two paths."""
+    rng = SplitMix(seed)
+    edges, inner, nxt = set(), [], 2
+    for _ in range(k):
+        prev, path = 0, []
+        for _ in range(1 + rng.below(3)):
+            edges.add((prev, nxt))
+            path.append(nxt)
+            prev, nxt = nxt, nxt + 1
+        edges.add((prev, 1))
+        inner.append(path)
+    for _ in range(rng.below(4)):
+        i, j = rng.below(k), rng.below(k)
+        if i != j:
+            u, v = inner[i][rng.below(len(inner[i]))], inner[j][rng.below(len(inner[j]))]
+            edges.add((min(u, v), max(u, v)))
+    return Graph.from_edges(nxt, sorted(edges))
+
+
+def test_theta_paths_rise_from_an_end_with_many_neighbours():
+    # the three paths of one pair of ends are taken by rising first vertex:
+    # on ends with 4 or 5 neighbours in their atom, the same theta as the
+    # plain route and the eager one, also where the first path does not
+    # start at the end's lowest neighbour
+    late = 0
+    for k in (4, 5):
+        for seed in range(40):
+            g = _subdivided_k2(k, seed)
+            assert len(atoms(g)) == 1 and g.degree(0) == k
+            w = det.find_theta(g)
+            assert _three_path_detail(w) == theta_by_deepening(g)
+            with eager_first_floors():
+                assert det.find_theta(g) == w
+            if w is not None:
+                (a, _), paths = w.detail_map().values()
+                firsts = [p[1] for p in paths]
+                assert firsts == sorted(firsts)
+                late += firsts[0] != min(g.neighbors(a))
+    assert late >= 10
 
 
 def test_contains_induced_matches_recursive_backtracking():

@@ -160,10 +160,11 @@ def test_prism_witness_has_three_paths():
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every
 # induced-path search made its own Graph.bfs_dist call
-# (tests/deepening_oracles.py)
+# (tests/deepening_oracles.py).  The prism's 71 are one ball per corner of
+# its 22 triangles and 5 floors.
 _PINNED_WORK = [
-    (det.find_prism, "line_of_wall", 744, 21, 13_859, 1_407),  # n=123
-    (det.find_theta, "wall", 298, 8_231, 3_841, 11_671),  # n=112
+    (det.find_prism, "line_of_wall", 71, 21, 13_859, 1_407),  # n=123
+    (det.find_theta, "wall", 205, 1_114, 3_841, 11_671),  # n=112
 ]
 
 
@@ -219,8 +220,8 @@ def test_three_path_search_work_is_pinned(
 # to exhaustion (tests/deepening_oracles.py).  Each obstruction is one atom
 # and is searched whole, as in _HOLE_WORK below.
 _EXPANSION_WORK = [
-    (det.find_prism, "line_of_wall", 21, 14_046, 19_893),  # n=123
-    (det.find_theta, "wall", 8_231, 4_449, 7_256),  # n=112
+    (det.find_prism, "line_of_wall", 21, 1_443, 1_751),  # n=123
+    (det.find_theta, "wall", 1_114, 2_156, 4_498),  # n=112
     (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
 ]
 
@@ -285,8 +286,8 @@ def test_hole_stream_work_is_pinned(
 # degree >= 4, so only the even-hole search reads a hole.
 _ATOM_WORK = [
     (det.find_even_hole, 5, 16, 15, 1_360),
-    (det.find_theta, 0, 0, 27, 8_160),
-    (det.find_prism, 0, 0, 43, 0),
+    (det.find_theta, 0, 0, 21, 1_349),
+    (det.find_prism, 0, 0, 15, 0),
     (det.find_even_wheel, 0, 0, 15, 2_620),
 ]
 
@@ -325,10 +326,12 @@ _ODD_WHEEL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5), (2, 5), (3
 # holding the structure), then the distance searches started and search nodes
 # needed.  Cap deepening and hole lengths stop at the size of the atom
 # searched; going on up to g.n would spend the nodes of the last caps again
-# and grow paths for holes longer than the atom.
+# and grow paths for holes longer than the atom.  Six of the prism's 13
+# searches are the corner balls of its one triangle pair, which screen out
+# no candidate here.
 _TWO_ATOM_WORK = [
-    (det.find_theta, 7, _CUBE_MINUS_VERTEX, 17, 96),
-    (det.find_prism, 9, _CHORDED_PRISM, 7, 8),
+    (det.find_theta, 7, _CUBE_MINUS_VERTEX, 11, 44),
+    (det.find_prism, 9, _CHORDED_PRISM, 13, 8),
     (det.find_even_wheel, 6, _ODD_WHEEL, 5, 21),
 ]
 
