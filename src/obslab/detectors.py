@@ -98,6 +98,16 @@ class _Ball(list):
                     break
         return self[: radius + 1] + [self[-1]] * (radius + 1 - len(self))
 
+    def layer(self, d: int) -> int | None:
+        """The vertices at distance exactly d >= 1, the ball grown by one
+        layer when d is the next, or None once the search has ended short
+        of d."""
+        if len(self) <= d:
+            next(self._more(), None)
+            if len(self) <= d:
+                return None
+        return self[d] & ~self[d - 1]
+
     def radius_holding(self, mask: int, m: int) -> int:
         """The least d with m vertices of mask in ball[d], or -1 when the
         whole component holds fewer.  The balls are nested, so among those
@@ -396,35 +406,50 @@ def _anticomplete_paths(
     return None
 
 
-def _shortest_three_paths(g: Graph, part: int, candidates: Iterable, asks_of, budget: _Budget):
-    """Cap deepening over candidates, (bound, key) pairs in search order for
-    the vertex mask part: bound is a lower bound on the longest path of the
-    key's asks, asks_of(key), every pool inside part, or -1 when they
-    cannot exist.  At each cap, the first candidate with anticomplete paths
-    of length <= cap gives (cap, (key, paths)), else None.  Caps stop at the
-    size of part, which no path inside it exceeds.
+def _shortest_three_paths(g: Graph, part: int, fresh: Iterator[list], asks_of, budget: _Budget):
+    """Cap deepening for the vertex mask part over candidates that fresh
+    gives per cap, from cap 1 on: a list of (order, key) pairs, the keys
+    whose bound is that cap, order their place in search order.  A bound is
+    a lower bound on the longest path of the key's asks, asks_of(key),
+    every pool inside part; a key whose asks cannot be met is never given.
+    At each cap, the first candidate with anticomplete paths of length <=
+    cap gives (cap, (key, paths)), else None.  Caps stop at the size of
+    part, which no path inside it exceeds, or as soon as fresh is spent and
+    no candidate is left.
 
     A candidate is searched only at caps from its bound up, in search
-    order, and its asks are built at the first of them; deepening starts at
-    the smallest bound.  _anticomplete_paths grows no path below the floor
-    of every ask, and each floor is at least the bound, so the same
-    candidates reach _induced_paths at each cap as if every one were
-    searched at every cap.  Every candidate was searched exhaustively at
-    cap - 1, so the longest path found has length exactly cap: shortest
-    first."""
-    fits: dict[int, list] = {}
-    for index, (bound, key) in enumerate(candidates):
-        if bound > 0:
-            fits.setdefault(bound, []).append((index, key))
-    live: list = []  # (index, key, asks) of the candidates whose bound fits, in search order
-    for cap in range(min(fits, default=part.bit_count() + 1), part.bit_count() + 1):
-        fresh = [(index, key, asks_of(key)) for index, key in fits.get(cap, ())]
-        live = sorted(live + fresh)
+    order, and its asks are built at the first of them.  _anticomplete_paths
+    grows no path below the floor of every ask, and each floor is at least
+    the bound, so the same candidates reach _induced_paths at each cap as
+    if every one were searched at every cap.  Every candidate was searched
+    exhaustively at cap - 1, so the longest path found has length exactly
+    cap: shortest first."""
+    live: list = []  # (order, key, asks) of the candidates whose bound fits, in search order
+    for cap in range(1, part.bit_count() + 1):
+        new = next(fresh, None)
+        if new is None and not live:
+            return None
+        if new:
+            live = sorted(live + [(order, key, asks_of(key)) for order, key in new])
         for _, key, asks in live:
             paths = _anticomplete_paths(g, asks, cap, budget)
             if paths is not None:
                 return cap, (key, paths)
     return None
+
+
+def _by_bound(candidates: Iterable) -> Iterator[list]:
+    """Per cap from 1, the (order, key) pairs whose bound is the cap, for
+    (bound, key) pairs in search order, order the index; each key is filed
+    once, and a bound of -1 never.  Spent after the largest bound."""
+    fits: dict[int, list] = {}
+    for index, (bound, key) in enumerate(candidates):
+        if bound > 0:
+            fits.setdefault(bound, []).append((index, key))
+    cap = 0
+    while fits:
+        cap += 1
+        yield fits.pop(cap, [])
 
 
 def _claw_centre(g: Graph, v: int, part: int) -> bool:
@@ -447,7 +472,7 @@ def _first_theta(g: Graph, part: int, budget: _Budget):
         for z in ends
         if z > a and not g.has_edge(a, z)
     ]
-    return _shortest_three_paths(g, part, candidates, asks_of, budget)
+    return _shortest_three_paths(g, part, _by_bound(candidates), asks_of, budget)
 
 
 def find_theta(
@@ -480,18 +505,33 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
     whose rows ~g.adj[v] cost less than a complement graph per atom),
     matched the permutation of t2 whose corners the paths reach.
 
-    Each candidate is screened from its corners before any pool floor is
-    asked.  A corner v of triangle t has one ball, inside part minus t and
-    the neighbourhood of t's other corners.  The pool of an ask (u, w) and
-    both its ends lie inside the corner masks of u and of w: the matching
-    keeps w off the other corners of u's triangle and their neighbours, and
-    u off those of w's.  So the larger of w's radius in u's ball and u's
-    radius in w's ball bounds the pool floor from below, and the largest
-    of a candidate's three screens bounds its paths."""
+    A corner v of triangle t has one ball, inside part minus t and the
+    neighbourhood of t's other corners.  The pool of an ask (u, w) and both
+    its ends lie inside the corner masks of u and of w: the matching keeps
+    w off the other corners of u's triangle and their neighbours, and u off
+    those of w's.  So the larger of w's radius in u's ball and u's radius
+    in w's ball, the screen of (u, w), bounds the pool floor from below,
+    and the largest of a candidate's three screens bounds its paths.
+
+    Candidates are built per cap.  Every matching of t1 with t2 is bounded
+    below by the cap r at which the last corner of t1 has a corner of t2 in
+    its ball, so the pair is screened at cap r and not before: t1's corner
+    balls grow one layer per cap, the triangles met in each new layer are
+    read from an index by corner vertex, and each matching of a pair met
+    by all three corners is filed under its bound, which is at least r.
+    The corners start in turn, each once the one before it has met a
+    triangle that t1 waits for, and catch up to the cap at once; none
+    starts after the cap at which the one before it meets the pair, so the
+    pair is still screened at r.  A corner stops growing once it has met
+    every triangle that t1 still waits for, and a ball whose search ends
+    drops the triangles it never met, which no matching reaches.  So only
+    the triangle pairs that can fit under the last cap are screened, and a
+    triangle waits only for the later disjoint triangles that some
+    matching fits."""
     tris = [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], part, 3)]
     # per triangle and corner v: part minus the triangle and the
-    # neighbourhood of its other two corners, and v
-    corner = {t: {v: part & ~(mask_of(t) | g.neighborhood(mask_of(t) & ~(1 << v))) | 1 << v for v in t} for t in tris}
+    # neighbourhood of its other two corners, and v; made when first read
+    corner = _Rows(lambda t: {v: part & ~(mask_of(t) | g.neighborhood(mask_of(t) & ~(1 << v))) | 1 << v for v in t})
 
     def radius(t: tuple, v: int, u: int) -> int:
         """u's radius in the ball of t's corner v, or -1 outside it."""
@@ -518,21 +558,72 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
         t1, t2, matched = key
         return tuple((u, w, corner[t1][u] & corner[t2][w] & ~(1 << u | 1 << w), 1) for u, w in zip(t1, matched))
 
-    def candidates():
+    def matchings(i: int, j: int) -> Iterator[tuple[int, tuple, tuple]]:
+        """(k, matched, corner pairs) of the k-th permutation of tris[j] that
+        touches tris[i] only at matched partners."""
+        t2m = mask_of(tris[j])
+        for k, matched in enumerate(permutations(tris[j])):
+            pairs = tuple(zip(tris[i], matched))
+            # corners may touch only their matched partner across the triangles
+            if not any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
+                yield k, matched, pairs
+
+    def per_cap():
+        on: dict[int, int] = {}  # per corner vertex, the indices of its triangles as a mask
+        for i, t in enumerate(tris):
+            for v in t:
+                on[v] = on.get(v, 0) | 1 << i
+        corners = mask_of(on)
+        # per triangle t1 with a later disjoint triangle that some matching
+        # fits: [those not yet screened with it, i, then per corner its ball
+        # once started, the radius it has grown to (-1 once its search
+        # ended) and the triangles met in that ball]
+        waiting = []
         for i, t1 in enumerate(tris):
             t1m = mask_of(t1)
-            for t2 in tris[i + 1 :]:
-                t2m = mask_of(t2)
-                if t1m & t2m:
-                    continue
-                screens: dict[tuple[int, int], int] = {}
-                for matched in permutations(t2):
-                    pairs = tuple(zip(t1, matched))
-                    # corners may touch only their matched partner across the triangles
-                    if not any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
-                        yield bound(t1, t2, pairs, screens), (t1, t2, matched)
+            later = (1 << len(tris)) - (2 << i) & ~(on[t1[0]] | on[t1[1]] | on[t1[2]])
+            if later:
+                for x in bits(g.neighborhood(t1m) & corners & ~t1m):
+                    for j in bits(later & on[x]):
+                        if next(matchings(i, j), None) is None:
+                            later &= ~(1 << j)
+            if later:
+                waiting.append([later, i, [None] * 3, [0] * 3, [0] * 3])
+        filed: dict[int, list] = {}
+        cap = 0
+        while waiting or filed:
+            cap += 1
+            for entry in waiting:
+                later, i, balls, radii, met = entry
+                t1 = tris[i]
+                for c, v in enumerate(t1):
+                    if radii[c] < 0 or not later & ~met[c]:
+                        continue  # its search ended, or it met every triangle t1 waits for
+                    if balls[c] is None:
+                        if c and not later & met[c - 1]:
+                            break  # a corner starts once the one before it met one of them
+                        balls[c] = budget.ball(g, v, corner[t1][v])
+                    while 0 <= radii[c] < cap:
+                        radii[c] += 1
+                        layer = balls[c].layer(radii[c])
+                        if layer is None:
+                            radii[c] = -1
+                            later &= met[c]  # no matching reaches a triangle this corner never met
+                        else:
+                            for x in bits(layer & corners):
+                                met[c] |= on[x]
+                full = later & met[0] & met[1] & met[2]
+                for j in bits(full):
+                    screens: dict[tuple[int, int], int] = {}
+                    for k, matched, pairs in matchings(i, j):
+                        top = bound(t1, tris[j], pairs, screens)
+                        if top > 0:
+                            filed.setdefault(top, []).append(((i, j, k), (t1, tris[j], matched)))
+                entry[0] = later & ~full
+            waiting = [entry for entry in waiting if entry[0]]
+            yield filed.pop(cap, [])
 
-    return _shortest_three_paths(g, part, candidates(), asks_of, budget)
+    return _shortest_three_paths(g, part, per_cap(), asks_of, budget)
 
 
 def find_prism(

@@ -12,10 +12,16 @@ distance search run to exhaustion into an array of every vertex's distance,
 read per candidate.  distance_arrays() runs the finders on it, with the
 finders' own budget and order.
 
-Last, the memoised route the finders took before a prism candidate was
+Then the memoised route the finders took before a prism candidate was
 screened from its triangle corners and the paths of one theta ask were
 taken by rising first vertex: eager_first_floors() runs the finders on it,
-and spent() reports a finder call's search nodes and distance searches.
+and spent() reports a finder call's search nodes, distance searches, radius
+reads and frontiers.
+
+Last, the route before prism candidates were built per cap: every
+(triangle pair, matching) candidate's corner screens read before the first
+cap, and cap deepening over the full (bound, key) list of the prism or the
+theta.  eager_screens() runs both finders on it.
 """
 
 from array import array
@@ -24,7 +30,7 @@ from itertools import permutations
 from unittest import mock
 
 from obslab import detectors
-from obslab.graph_core import Graph, bits, mask_of
+from obslab.graph_core import Graph, bits, mask_of, stable_sets
 
 
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
@@ -284,6 +290,92 @@ def eager_first_floors():
         yield
 
 
+# -- every corner screen before the first cap --------------------------------------
+
+
+def listed_three_paths(g: Graph, part: int, candidates, asks_of, budget):
+    """detectors._shortest_three_paths over a list of (bound, key) pairs in
+    search order, filed by bound before the first cap; deepening starts at
+    the smallest bound."""
+    fits = {}
+    for index, (bound, key) in enumerate(candidates):
+        if bound > 0:
+            fits.setdefault(bound, []).append((index, key))
+    live = []
+    for cap in range(min(fits, default=part.bit_count() + 1), part.bit_count() + 1):
+        live = sorted(live + [(index, key, asks_of(key)) for index, key in fits.get(cap, ())])
+        for _, key, asks in live:
+            paths = detectors._anticomplete_paths(g, asks, cap, budget)
+            if paths is not None:
+                return cap, (key, paths)
+    return None
+
+
+def listed_first_theta(g: Graph, part: int, budget):
+    """detectors._first_theta over the full list of its pairs."""
+    ends = [v for v in bits(part) if detectors._claw_centre(g, v, part)]
+
+    def asks_of(key):
+        return ((*key, part & ~mask_of(key), 3),)
+
+    candidates = [
+        (detectors._floor(g, *asks_of((a, z))[0], budget), (a, z))
+        for a in ends
+        for z in ends
+        if z > a and not g.has_edge(a, z)
+    ]
+    return listed_three_paths(g, part, candidates, asks_of, budget)
+
+
+def screened_first_prism(g: Graph, part: int, budget):
+    """detectors._first_prism with a bound built for every candidate before
+    the first cap, from the same corner balls and screens."""
+    tris = [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], part, 3)]
+    corner = {t: {v: part & ~(mask_of(t) | g.neighborhood(mask_of(t) & ~(1 << v))) | 1 << v for v in t} for t in tris}
+
+    def radius(t, v, u):
+        return budget.ball(g, v, corner[t][v]).radius_holding(1 << u, 1)
+
+    def bound(t1, t2, pairs, screens):
+        top = 0
+        for u, w in pairs:
+            if (u, w) not in screens:
+                d = radius(t1, u, w)
+                e = radius(t2, w, u) if d > 0 else -1
+                screens[u, w] = -1 if e < 0 else max(d, e)
+            if screens[u, w] < 0:
+                return -1
+            top = max(top, screens[u, w])
+        return top
+
+    def asks_of(key):
+        t1, t2, matched = key
+        return tuple((u, w, corner[t1][u] & corner[t2][w] & ~(1 << u | 1 << w), 1) for u, w in zip(t1, matched))
+
+    candidates = []
+    for i, t1 in enumerate(tris):
+        t1m = mask_of(t1)
+        for t2 in tris[i + 1 :]:
+            t2m = mask_of(t2)
+            if t1m & t2m:
+                continue
+            screens = {}
+            for matched in permutations(t2):
+                pairs = tuple(zip(t1, matched))
+                if not any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
+                    candidates.append((bound(t1, t2, pairs, screens), (t1, t2, matched)))
+    return listed_three_paths(g, part, candidates, asks_of, budget)
+
+
+@contextmanager
+def eager_screens():
+    """Within the block, find_prism reads every candidate's corner screens
+    before the first cap, and both finders deepen over the full list of
+    their candidates.  Same memo, atoms, budget and search order."""
+    with mock.patch.multiple(detectors, _first_theta=listed_first_theta, _first_prism=screened_first_prism):
+        yield
+
+
 class SpentBudget(detectors._Budget):
     """A finder call's budget that records itself in SpentBudget.made."""
 
@@ -296,10 +388,31 @@ class SpentBudget(detectors._Budget):
 
 
 def spent(finder, g: Graph, **kw):
-    """(witness, search nodes spent, distance searches started) of one
-    finder call."""
-    with mock.patch.object(detectors, "_Budget", SpentBudget):
+    """(witness, search nodes spent, distance searches started, radii read
+    from balls: corner screens and floors, breadth-first frontiers
+    expanded) of one finder call.  The frontiers include those of the
+    graph's atoms the first time a finder asks for them."""
+    reads = frontiers = 0
+    radius_holding = detectors._Ball.radius_holding
+    layers = Graph.layers
+
+    def counted_reads(ball, *args):
+        nonlocal reads
+        reads += 1
+        return radius_holding(ball, *args)
+
+    def counted_layers(graph, *args):
+        nonlocal frontiers
+        for frontier in layers(graph, *args):
+            yield frontier
+            frontiers += 1
+
+    with (
+        mock.patch.object(detectors, "_Budget", SpentBudget),
+        mock.patch.object(detectors._Ball, "radius_holding", counted_reads),
+        mock.patch.object(Graph, "layers", counted_layers),
+    ):
         SpentBudget.made = []
         w = finder(g, **kw)
     (budget,) = SpentBudget.made
-    return w, budget.start - budget.left, len(budget.balls)
+    return w, budget.start - budget.left, len(budget.balls), reads, frontiers

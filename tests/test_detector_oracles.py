@@ -3,6 +3,7 @@ either a pattern library built on the induced-subgraph matcher or a subset
 scan."""
 
 import random
+from contextlib import nullcontext
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -18,8 +19,16 @@ from obslab.generators import (
 from obslab.graph_core import Graph, atoms, bits, mask_of, stable_sets
 from obslab.rng import SplitMix
 
+from .atom_oracles import whole_graph
 from .conftest import graphs
-from .deepening_oracles import eager_first_floors, prism_by_deepening, spent, theta_by_deepening, triangles
+from .deepening_oracles import (
+    eager_first_floors,
+    eager_screens,
+    prism_by_deepening,
+    spent,
+    theta_by_deepening,
+    triangles,
+)
 from .hole_oracles import even_hole_by_cycles, even_wheel_by_cycles, hole_by_shortest_path
 from .subset_oracles import (
     chain_by_recursion,
@@ -234,9 +243,9 @@ def test_three_path_finders_match_the_eager_route():
             for kind in ("wall", "line_of_wall", "biclique"):
                 g = basic_obstruction(t, kind, seed=seed)
                 for finder in (det.find_theta, det.find_prism):
-                    w, nodes, searches = spent(finder, g, guard=g.n)
+                    w, nodes, searches, *_ = spent(finder, g, guard=g.n)
                     with eager_first_floors():
-                        w_eager, nodes_eager, searches_eager = spent(finder, g, guard=g.n)
+                        w_eager, nodes_eager, searches_eager, *_ = spent(finder, g, guard=g.n)
                     assert w == w_eager
                     assert nodes == nodes_eager if finder is det.find_prism else nodes <= nodes_eager
                     if w is not None:
@@ -251,6 +260,98 @@ def test_three_path_finders_match_the_eager_route():
     assert 10 * searches <= searches_eager
     nodes, _, nodes_eager, _ = work[6, 1, "wall", "find_theta"]
     assert 3 * nodes <= nodes_eager
+
+
+def test_prism_matches_the_screen_everything_route():
+    # candidates built per cap against every corner screen read before the
+    # first cap: the same witness and search nodes, since the same
+    # candidates reach the path search at each cap, and never more distance
+    # searches, radius reads or frontiers; on the t=3..6 obstructions at
+    # seeds 0-2, the t=8 line graph of a wall and every class on at most 7
+    # vertices
+    graphs = [
+        basic_obstruction(t, kind, seed=seed)
+        for t in range(3, 7)
+        for seed in range(3)
+        for kind in ("wall", "line_of_wall", "biclique")
+    ]
+    graphs.append(basic_obstruction(8, "line_of_wall", seed=1))
+    graphs += [g for n in range(8) for g in enumerate_graphs(n)]
+    found = 0
+    totals = [0] * 6
+    for g in graphs:
+        atoms(g)  # once per graph, outside the counts
+        w, nodes, *work = spent(det.find_prism, g, guard=max(g.n, 1))
+        with eager_screens():
+            w_eager, nodes_eager, *work_eager = spent(det.find_prism, g, guard=max(g.n, 1))
+        assert w == w_eager and nodes == nodes_eager
+        assert all(a <= b for a, b in zip(work, work_eager))
+        totals = [a + b for a, b in zip(totals, work + work_eager)]
+        found += w is not None
+    # a prism in each line graph, and in some small classes
+    assert found > 4 * 3 + 1
+    # (searches, reads, frontiers) in all, per cap then eager
+    assert totals == [1_482, 1_142, 14_311, 1_662, 247_854, 44_433]
+
+
+def _absence_inputs():
+    """Inputs like those of the absence benchmark: seeded 2-trees and
+    3-trees, and chains of C5s, C7s and triangles, each glued on a vertex
+    or an edge of what is built so far, none holding a theta or a prism."""
+    rng = SplitMix(47)
+    out = [k_tree_random(2, 20, rng.next_u64()) for _ in range(4)]
+    out += [k_tree_random(3, 19, rng.next_u64()) for _ in range(4)]
+    for _ in range(6):
+        edges, cliques, n = set(), [], 0
+        for p in range(10):
+            size = (5 if p % 4 == 0 else 7) if p % 2 == 0 else 3
+            shared = cliques[rng.below(len(cliques))][: 1 + rng.below(2)] if p else ()
+            verts = [*shared, *range(n, n + size - len(shared))]
+            n += size - len(shared)
+            if size > 3:
+                ring = [(verts[i], verts[(i + 1) % size]) for i in range(size)]
+                cliques += ring
+            else:
+                ring = list(combinations(verts, 2))
+                cliques.append(tuple(verts))
+            edges.update((min(e), max(e)) for e in ring)
+        out.append(Graph.from_edges(n, sorted(edges)))
+    return out
+
+
+def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
+    # where there is little or nothing to find, building candidates per cap
+    # starts no more distance searches, reads no more radii and expands no
+    # more frontiers than reading every screen first, graph by graph, atom
+    # by atom as the finders run and on the whole graph; on the absence
+    # inputs and every class on at most 7 vertices.  The totals of
+    # (searches, reads, frontiers) per finder, per cap then eager, are
+    # pinned: the theta's are equal, the prism's fall.
+    graphs = _absence_inputs() + [g for n in range(8) for g in enumerate_graphs(n)]
+    totals = {}
+    for g in graphs:
+        atoms(g)  # once per graph, outside the counts
+        for finder in (det.find_prism, det.find_theta):
+            for route in (nullcontext, whole_graph):
+                with route():
+                    w, _, *work = spent(finder, g, guard=max(g.n, 1))
+                    with eager_screens():
+                        w_eager, _, *work_eager = spent(finder, g, guard=max(g.n, 1))
+                assert w == w_eager
+                assert all(a <= b for a, b in zip(work, work_eager))
+                for side, counts in (("per cap", work), ("eager", work_eager)):
+                    total = totals.setdefault((finder.__name__, route.__name__, side), [0, 0, 0])
+                    total[:] = [a + b for a, b in zip(total, counts)]
+    assert totals == {
+        ("find_prism", "nullcontext", "per cap"): [104, 115, 108],
+        ("find_prism", "nullcontext", "eager"): [105, 121, 109],
+        ("find_prism", "whole_graph", "per cap"): [423, 115, 640],
+        ("find_prism", "whole_graph", "eager"): [494, 2_321, 912],
+        ("find_theta", "nullcontext", "per cap"): [1_151, 1_047, 1_320],
+        ("find_theta", "nullcontext", "eager"): [1_151, 1_047, 1_320],
+        ("find_theta", "whole_graph", "per cap"): [1_576, 7_861, 2_977],
+        ("find_theta", "whole_graph", "eager"): [1_576, 7_861, 2_977],
+    }
 
 
 def _subdivided_k2(k, seed):

@@ -22,7 +22,7 @@ from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
 from .conftest import graphs
-from .deepening_oracles import distance_arrays
+from .deepening_oracles import distance_arrays, spent
 from .subset_oracles import even_hole_by_subsets, set_relation
 
 
@@ -160,10 +160,11 @@ def test_prism_witness_has_three_paths():
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every
 # induced-path search made its own Graph.bfs_dist call
-# (tests/deepening_oracles.py).  The prism's 71 are one ball per corner of
-# its 22 triangles and 5 floors.
+# (tests/deepening_oracles.py).  The prism's 64 are 59 of the 66 corner
+# balls of its 22 triangles, the rest never started before the witness's
+# cap, and 5 floors.
 _PINNED_WORK = [
-    (det.find_prism, "line_of_wall", 71, 21, 13_859, 1_407),  # n=123
+    (det.find_prism, "line_of_wall", 64, 21, 13_859, 1_407),  # n=123
     (det.find_theta, "wall", 205, 1_114, 3_841, 11_671),  # n=112
 ]
 
@@ -220,7 +221,7 @@ def test_three_path_search_work_is_pinned(
 # to exhaustion (tests/deepening_oracles.py).  Each obstruction is one atom
 # and is searched whole, as in _HOLE_WORK below.
 _EXPANSION_WORK = [
-    (det.find_prism, "line_of_wall", 21, 1_443, 1_751),  # n=123
+    (det.find_prism, "line_of_wall", 21, 700, 1_561),  # n=123
     (det.find_theta, "wall", 1_114, 2_156, 4_498),  # n=112
     (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
 ]
@@ -238,6 +239,21 @@ def test_balls_grow_only_as_far_as_asked(finder, kind, nodes, grown, exhausted, 
             assert finder(g, guard=128, budget=nodes) == w
         assert len(made) == exhausted
     assert w is not None and det.validate_witness(g, w)
+
+
+def test_prism_screens_only_the_pairs_that_fit():
+    # on the t=10 line graph of a wall, seed 1 (n=753), searched whole: the
+    # prism reads 24 radii from its balls (corner screens and floors) and
+    # expands 4,099 breadth-first frontiers, since a triangle pair is
+    # screened only at the cap where the last corner of the first triangle
+    # meets the second.  Reading every screen before the first cap
+    # (deepening_oracles.eager_screens) took 282,504 reads and 26,380
+    # frontiers for the same witness and 17 search nodes.
+    g = basic_obstruction(10, "line_of_wall", seed=1)
+    with whole_graph():
+        w, nodes, _, reads, frontiers = spent(det.find_prism, g, guard=g.n)
+    assert w is not None and det.validate_witness(g, w)
+    assert (nodes, reads, frontiers) == (17, 24, 4_099)
 
 
 def _wheel_free_clique_sum():
@@ -287,7 +303,7 @@ def test_hole_stream_work_is_pinned(
 _ATOM_WORK = [
     (det.find_even_hole, 5, 16, 15, 1_360),
     (det.find_theta, 0, 0, 21, 1_349),
-    (det.find_prism, 0, 0, 15, 0),
+    (det.find_prism, 0, 0, 11, 0),
     (det.find_even_wheel, 0, 0, 15, 2_620),
 ]
 
