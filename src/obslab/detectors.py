@@ -45,7 +45,9 @@ class _Budget:
     """Search nodes left for one finder call, and that call's distance memo:
     the graph does not change during the call, so the ball around a vertex
     inside a mask (see _Ball) is grown once, however many atoms, candidates,
-    roots, length caps and prism corner screens ask for it."""
+    roots, length caps, hole pair floors and prism corner screens ask for
+    it.  A path search's mask leaves out the path's start (see _to_dst), so
+    two starts share a ball only when their pools do."""
 
     __slots__ = ("left", "what", "balls")
 
@@ -70,8 +72,9 @@ class _Budget:
 class _Ball(list):
     """ball[d] is the mask of the vertices within distance d of the end
     inside the mask, grown from Graph.layers one layer at a time and only as
-    far as a caller asks.  Once the breadth-first search is exhausted, only
-    the masks are kept."""
+    far as a caller asks: a floor stops at the first radius that holds
+    enough of a start's neighbours, a path search at its cap.  Once the
+    breadth-first search is exhausted, only the masks are kept."""
 
     __slots__ = ("grow",)
 
@@ -233,16 +236,33 @@ def _cycles(
     root the lowest vertex and a < b its two neighbors on the cycle.
     a, ..., b, root is an induced path through vertices of part above root
     that avoids root's neighbors below a, so a is never root's highest
-    neighbor."""
+    neighbor.
+
+    Each (root, a) pair has a floor, the fewest vertices of an induced
+    cycle through the edge root-a with the rest in the pair's pool: 2 plus
+    the least radius of root's ball, the one the pair's path search reads,
+    that holds a pool neighbour of a, or more than part holds when none is
+    in it.  It is exact, since a shortest such path is induced.  It is
+    read once, after the pair's first search has grown the ball, and the
+    pair is skipped at every later length below it, so its short paths are
+    not regrown and dropped at each length.  Read before the first length,
+    it would grow balls for pairs whose search ends there."""
+    floors: dict[tuple[int, int], int] = {}
     for target in lengths:
         for root in bits(part):
             above = part >> (root + 1) << (root + 1)
             ups = g.adj[root] & above
             for a in list(bits(ups))[:-1]:
+                if floors.get((root, a), target) > target:
+                    continue
                 pool = above & ~(ups & ((1 << a) - 1))
                 for p in _induced_paths(g, a, root, pool, target - 1, budget):
                     if len(p) == target:
                         yield (root, *p[:-1])
+                if (root, a) not in floors:
+                    inner, ball = _to_dst(g, a, root, pool, budget)
+                    d = ball.radius_holding(g.adj[a] & inner, 1)
+                    floors[root, a] = d + 2 if d >= 0 else part.bit_count() + 1
 
 
 def _first_even_hole(g: Graph, part: int, budget: _Budget):
@@ -302,16 +322,22 @@ def _to_dst(
     g: Graph, src: int, dst: int, interior_allowed: int, budget: _Budget
 ) -> tuple[int, _Ball]:
     """The interior pool of src-dst paths, and the ball around dst inside
-    the pool plus both ends, from the finder call's memo."""
+    the pool plus dst, from the finder call's memo.  src is left out: no
+    path comes back to it, and through it every vertex near src would look
+    near dst.  So the ball reads true distances in the part of the graph
+    where the rest of a path lies, and every bound read from it stays a
+    lower bound."""
     pool = interior_allowed & ~(1 << src) & ~(1 << dst)
-    return pool, budget.ball(g, dst, pool | (1 << src) | (1 << dst))
+    return pool, budget.ball(g, dst, pool | (1 << dst))
 
 
 def _floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: _Budget) -> int:
     """A lower bound on the longest of m induced src-dst paths with disjoint
     interiors inside the allowed mask, or -1 when they cannot exist: either
     the single edge src-dst or m paths leaving src through distinct
-    neighbors x in the pool, each of length >= 1 + dist(x, dst).  The ball
+    neighbors x in the pool, each of length >= 1 + dist(x, dst), the
+    distance inside the pool plus dst.  At m = 1 it is exact, since a
+    shortest path inside the pool plus both ends is induced.  The ball
     around dst grows only until it holds m of those neighbors."""
     if g.has_edge(src, dst):
         return 1 if m == 1 else -1
@@ -333,7 +359,8 @@ def _induced_paths(
     paths when src and dst are not adjacent, the rest of a hole through that
     edge when they are.  Deterministic ascending-vertex order, distance
     pruned: after k vertices the next one lies within max_len - k of dst, in
-    the ball grown that far.  One loop with its own stack, as in
+    the ball grown that far, which leaves out src (see _to_dst) and so cuts
+    only branches that hold no path.  One loop with its own stack, as in
     graph_core.stable_sets, so the budget, one node spent for each path
     grown, is the only limit on the length of a path."""
     pool, ball = _to_dst(g, src, dst, interior_allowed, budget)

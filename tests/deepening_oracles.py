@@ -18,10 +18,16 @@ taken by rising first vertex: eager_first_floors() runs the finders on it,
 and spent() reports a finder call's search nodes, distance searches, radius
 reads and frontiers.
 
-Last, the route before prism candidates were built per cap: every
+Then the route before prism candidates were built per cap: every
 (triangle pair, matching) candidate's corner screens read before the first
 cap, and cap deepening over the full (bound, key) list of the prism or the
 theta.  eager_screens() runs both finders on it.
+
+Last, the route before the balls of floors and path searches left out the
+path's start: each ball grown inside the pool plus both ends, and every
+(root, a) pair of the hole stream searched at every length.
+balls_through_src() runs every finder on it, and eager_first_floors()
+runs inside it, as that route did.
 """
 
 from array import array
@@ -135,15 +141,16 @@ def prism_by_deepening(g: Graph):
 
 class DistanceBudget(detectors._Budget):
     """The finder call's budget, its memo holding one distance array per
-    (end, mask) of a floor or path search, and each prism corner's ball
-    run to exhaustion."""
+    (end, mask) of a floor or path search, and each prism corner's ball and
+    each hole pair's floor ball run to exhaustion."""
 
     def __init__(self, nodes: int, what: str):
         super().__init__(nodes, what)
         self.dists: dict[tuple[int, int], array] = {}
 
     def ball(self, g: Graph, end: int, mask: int):
-        """A prism corner's ball, grown to exhaustion when it is made."""
+        """A prism corner's or a hole pair's ball, grown to exhaustion when
+        it is made."""
         made = (end, mask) not in self.balls
         ball = super().ball(g, end, mask)
         if made:
@@ -153,9 +160,9 @@ class DistanceBudget(detectors._Budget):
 
 def to_dst(g: Graph, src: int, dst: int, interior_allowed: int, budget: DistanceBudget):
     """The interior pool of src-dst paths, and the distances to dst inside
-    the pool plus both ends, from the memo."""
+    the pool plus dst, from the memo."""
     pool = interior_allowed & ~(1 << src) & ~(1 << dst)
-    key = (dst, pool | (1 << src) | (1 << dst))
+    key = (dst, pool | (1 << dst))
     dist = budget.dists.get(key)
     if dist is None:
         dist = budget.dists[key] = array("h", g.bfs_dist(*key))
@@ -285,8 +292,9 @@ def eager_first_floors():
     """Within the block, find_theta and find_prism take the route they took
     before corner screens and ordered paths: every candidate's pools built
     and its first floor asked before the first cap, and the paths of one
-    ask in any order of first vertices.  Same memo, atoms and budget."""
-    with mock.patch.multiple(detectors, _first_theta=first_theta, _first_prism=first_prism):
+    ask in any order of first vertices, on balls through the path's start
+    (balls_through_src).  Same atoms and budget."""
+    with balls_through_src(), mock.patch.multiple(detectors, _first_theta=first_theta, _first_prism=first_prism):
         yield
 
 
@@ -371,8 +379,44 @@ def screened_first_prism(g: Graph, part: int, budget):
 def eager_screens():
     """Within the block, find_prism reads every candidate's corner screens
     before the first cap, and both finders deepen over the full list of
-    their candidates.  Same memo, atoms, budget and search order."""
+    their candidates.  Same memo, atoms, budget and search order: the balls
+    are those of the finders, so the block measures the screens alone."""
     with mock.patch.multiple(detectors, _first_theta=listed_first_theta, _first_prism=screened_first_prism):
+        yield
+
+
+# -- balls through the path's start ---------------------------------------------
+
+
+def to_dst_through_src(g: Graph, src: int, dst: int, interior_allowed: int, budget):
+    """detectors._to_dst with the ball around dst grown inside the pool plus
+    both ends: a vertex near src looks near dst through src, which the path
+    never uses again."""
+    pool = interior_allowed & ~(1 << src) & ~(1 << dst)
+    return pool, budget.ball(g, dst, pool | (1 << src) | (1 << dst))
+
+
+def cycles_without_floors(g: Graph, part: int, lengths, budget):
+    """detectors._cycles with every (root, a) pair searched at every
+    length."""
+    for target in lengths:
+        for root in bits(part):
+            above = part >> (root + 1) << (root + 1)
+            ups = g.adj[root] & above
+            for a in list(bits(ups))[:-1]:
+                pool = above & ~(ups & ((1 << a) - 1))
+                for p in detectors._induced_paths(g, a, root, pool, target - 1, budget):
+                    if len(p) == target:
+                        yield (root, *p[:-1])
+
+
+@contextmanager
+def balls_through_src():
+    """Within the block, every ball of a floor or path search grows inside
+    the pool plus both ends, and the hole stream skips no (root, a) pair:
+    the route before balls left out the path's start.  Same memo, atoms
+    and budget."""
+    with mock.patch.multiple(detectors, _to_dst=to_dst_through_src, _cycles=cycles_without_floors):
         yield
 
 

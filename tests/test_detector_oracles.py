@@ -22,6 +22,7 @@ from obslab.rng import SplitMix
 from .atom_oracles import whole_graph
 from .conftest import graphs
 from .deepening_oracles import (
+    balls_through_src,
     eager_first_floors,
     eager_screens,
     prism_by_deepening,
@@ -233,8 +234,9 @@ def test_three_path_finders_match_plain_deepening():
 
 
 def test_three_path_finders_match_the_eager_route():
-    # corner screens, lazy pools and ordered paths against the memoised route
-    # they replaced (eager first floors and pools, paths in any order): the
+    # corner screens, lazy pools, ordered paths and balls without the
+    # path's start against the memoised route they replaced (eager first
+    # floors and pools, paths in any order, balls through the start): the
     # same witness; for prisms the same search nodes, since the same
     # candidates reach the path search; for thetas never more nodes
     work = {}
@@ -253,13 +255,46 @@ def test_three_path_finders_match_the_eager_route():
     # theta in each wall and biclique, prism in each line graph
     assert len(work) == 4 * 3 * 3
     # the work follows the witness: at t=6, seed 1 the prism starts at most
-    # a tenth of the distance searches, corner balls included (181 against
+    # a tenth of the distance searches, corner balls included (160 against
     # 5,137), and the theta spends at most a third of the search nodes
-    # (3,387 against 25,732)
+    # (23 against 25,732)
     _, searches, _, searches_eager = work[6, 1, "line_of_wall", "find_prism"]
     assert 10 * searches <= searches_eager
     nodes, _, nodes_eager, _ = work[6, 1, "wall", "find_theta"]
     assert 3 * nodes <= nodes_eager
+
+
+def test_hole_finders_match_balls_through_the_start():
+    # balls that leave out the path's start, and hole pairs skipped below
+    # their floors, against balls grown through the start with every pair
+    # searched at every length: the same witness and never more search
+    # nodes, for all four hole-based finders on the t=3..6 obstructions at
+    # seeds 0-2 and every class on at most 7 vertices
+    graphs = [
+        basic_obstruction(t, kind, seed=seed)
+        for t in range(3, 7)
+        for seed in range(3)
+        for kind in ("wall", "line_of_wall", "biclique")
+    ]
+    graphs += [g for n in range(8) for g in enumerate_graphs(n)]
+    finders = (det.find_even_hole, det.find_even_wheel, det.find_theta, det.find_prism)
+    totals = {finder.__name__: [0, 0] for finder in finders}
+    for g in graphs:
+        for finder in finders:
+            w, nodes, *_ = spent(finder, g, guard=max(g.n, 1))
+            with balls_through_src():
+                w_old, nodes_old, *_ = spent(finder, g, guard=max(g.n, 1))
+            assert w == w_old and nodes <= nodes_old
+            totals[finder.__name__][0] += nodes
+            totals[finder.__name__][1] += nodes_old
+    # search nodes in all, then through the start: the prism's paths are
+    # short and its pools fenced by the corners, so its count holds
+    assert totals == {
+        "find_even_hole": [5_861, 37_823],
+        "find_even_wheel": [9_837, 10_538],
+        "find_theta": [1_039, 20_109],
+        "find_prism": [246, 246],
+    }
 
 
 def test_prism_matches_the_screen_everything_route():
@@ -291,7 +326,7 @@ def test_prism_matches_the_screen_everything_route():
     # a prism in each line graph, and in some small classes
     assert found > 4 * 3 + 1
     # (searches, reads, frontiers) in all, per cap then eager
-    assert totals == [1_482, 1_142, 14_311, 1_662, 247_854, 44_433]
+    assert totals == [1_483, 1_142, 14_301, 1_663, 247_854, 44_423]
 
 
 def _absence_inputs():
@@ -343,14 +378,14 @@ def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
                     total = totals.setdefault((finder.__name__, route.__name__, side), [0, 0, 0])
                     total[:] = [a + b for a, b in zip(total, counts)]
     assert totals == {
-        ("find_prism", "nullcontext", "per cap"): [104, 115, 108],
-        ("find_prism", "nullcontext", "eager"): [105, 121, 109],
-        ("find_prism", "whole_graph", "per cap"): [423, 115, 640],
-        ("find_prism", "whole_graph", "eager"): [494, 2_321, 912],
-        ("find_theta", "nullcontext", "per cap"): [1_151, 1_047, 1_320],
-        ("find_theta", "nullcontext", "eager"): [1_151, 1_047, 1_320],
-        ("find_theta", "whole_graph", "per cap"): [1_576, 7_861, 2_977],
-        ("find_theta", "whole_graph", "eager"): [1_576, 7_861, 2_977],
+        ("find_prism", "nullcontext", "per cap"): [105, 115, 109],
+        ("find_prism", "nullcontext", "eager"): [106, 121, 110],
+        ("find_prism", "whole_graph", "per cap"): [424, 115, 641],
+        ("find_prism", "whole_graph", "eager"): [495, 2_321, 913],
+        ("find_theta", "nullcontext", "per cap"): [1_192, 1_047, 1_363],
+        ("find_theta", "nullcontext", "eager"): [1_192, 1_047, 1_363],
+        ("find_theta", "whole_graph", "per cap"): [1_560, 5_848, 2_848],
+        ("find_theta", "whole_graph", "eager"): [1_560, 5_848, 2_848],
     }
 
 
