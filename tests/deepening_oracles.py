@@ -162,11 +162,15 @@ def to_dst(g: Graph, src: int, dst: int, interior_allowed: int, budget: Distance
     """The interior pool of src-dst paths, and the distances to dst inside
     the pool plus dst, from the memo."""
     pool = interior_allowed & ~(1 << src) & ~(1 << dst)
-    key = (dst, pool | (1 << dst))
-    dist = budget.dists.get(key)
+    return pool, _dists(g, dst, pool | (1 << dst), budget)
+
+
+def _dists(g: Graph, end: int, mask: int, budget: DistanceBudget) -> array:
+    """The distances to end inside the mask, from the memo."""
+    dist = budget.dists.get((end, mask))
     if dist is None:
-        dist = budget.dists[key] = array("h", g.bfs_dist(*key))
-    return pool, dist
+        dist = budget.dists[end, mask] = array("h", g.bfs_dist(end, mask))
+    return dist
 
 
 def floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: DistanceBudget):
@@ -396,6 +400,12 @@ def to_dst_through_src(g: Graph, src: int, dst: int, interior_allowed: int, budg
     return pool, budget.ball(g, dst, pool | (1 << src) | (1 << dst))
 
 
+def arrays_through_src(g: Graph, src: int, dst: int, interior_allowed: int, budget):
+    """to_dst with the distances to dst inside the pool plus both ends."""
+    pool = interior_allowed & ~(1 << src) & ~(1 << dst)
+    return pool, _dists(g, dst, pool | (1 << src) | (1 << dst), budget)
+
+
 def cycles_without_floors(g: Graph, part: int, lengths, budget):
     """detectors._cycles with every (root, a) pair searched at every
     length."""
@@ -415,8 +425,12 @@ def balls_through_src():
     """Within the block, every ball of a floor or path search grows inside
     the pool plus both ends, and the hole stream skips no (root, a) pair:
     the route before balls left out the path's start.  Same memo, atoms
-    and budget."""
-    with mock.patch.multiple(detectors, _to_dst=to_dst_through_src, _cycles=cycles_without_floors):
+    and budget.  Inside distance_arrays() the arrays are kept on the same
+    masks."""
+    with (
+        mock.patch.multiple(detectors, _to_dst=to_dst_through_src, _cycles=cycles_without_floors),
+        mock.patch.dict(globals(), to_dst=arrays_through_src),
+    ):
         yield
 
 

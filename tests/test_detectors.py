@@ -1,4 +1,5 @@
 import itertools
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from obslab.rng import SplitMix
 
 from .atom_oracles import whole_graph
 from .conftest import graphs
-from .deepening_oracles import distance_arrays, spent
+from .deepening_oracles import balls_through_src, distance_arrays, spent
 from .subset_oracles import even_hole_by_subsets, set_relation
 
 
@@ -156,6 +157,19 @@ def test_prism_witness_has_three_paths():
     assert not det.validate_witness(prism6, w)
 
 
+# Each table below pins the work of the route before the balls of floors and
+# path searches left out the path's start (deepening_oracles.
+# balls_through_src), which names its cases.  The *_NOW table beside it pins
+# the finders' own work on the same graphs, which finds the same witnesses
+# with never more search nodes.
+
+
+def _routes(now, through_src):
+    """(route, pins): the finders' route, then the one through the path's
+    start."""
+    return ((nullcontext, now), (balls_through_src, through_src))
+
+
 # finder, obstruction kind, then the distance searches started and search
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every
@@ -165,8 +179,11 @@ def test_prism_witness_has_three_paths():
 # cap, and 5 floors.
 _PINNED_WORK = [
     (det.find_prism, "line_of_wall", 64, 21, 13_859, 1_407),  # n=123
-    (det.find_theta, "wall", 235, 24, 3_841, 11_671),  # n=112
+    (det.find_theta, "wall", 205, 1_114, 3_841, 11_671),  # n=112
 ]
+# the theta starts more distance searches: its balls leave out the first
+# end, so each pair of ends grows its own ball
+_PINNED_NOW = {det.find_prism: (64, 21), det.find_theta: (235, 24)}
 
 
 def _counted_searches(monkeypatch) -> list:
@@ -200,18 +217,25 @@ def _counted_expansions(monkeypatch) -> list:
     return made
 
 
-@pytest.mark.parametrize("finder,kind,calls,nodes,plain_calls,plain_nodes", _PINNED_WORK)
+@pytest.mark.parametrize("finder,kind,calls_src,nodes_src,plain_calls,plain_nodes", _PINNED_WORK)
 def test_three_path_search_work_is_pinned(
-    finder, kind, calls, nodes, plain_calls, plain_nodes, monkeypatch
+    finder, kind, calls_src, nodes_src, plain_calls, plain_nodes, monkeypatch
 ):
     g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
     made = _counted_searches(monkeypatch)
-    w = finder(g, guard=128, budget=nodes)
-    assert w is not None and det.validate_witness(g, w)
-    assert len(made) == calls and 10 * calls <= plain_calls
-    assert nodes < plain_nodes
-    with pytest.raises(ScaleLimit):
-        finder(g, guard=128, budget=nodes - 1)
+    found = []
+    for route, (calls, nodes) in _routes(_PINNED_NOW[finder], (calls_src, nodes_src)):
+        made.clear()
+        with route():
+            w = finder(g, guard=128, budget=nodes)
+            assert w is not None and det.validate_witness(g, w)
+            assert len(made) == calls and 10 * calls <= plain_calls
+            assert nodes < plain_nodes
+            with pytest.raises(ScaleLimit):
+                finder(g, guard=128, budget=nodes - 1)
+        found.append((w, nodes))
+    (w, nodes), (w_src, nodes_src) = found
+    assert w == w_src and nodes <= nodes_src
 
 
 # finder, obstruction kind and search nodes on the t=4 obstruction of
@@ -219,30 +243,43 @@ def test_three_path_search_work_is_pinned(
 # expanded: by the finder, whose balls grow only as far as a floor or a cap
 # asks, then by the distance arrays it kept before, each distance search run
 # to exhaustion (tests/deepening_oracles.py).  Each obstruction is one atom
-# and is searched whole, as in _HOLE_WORK below.  The theta expands more
-# frontiers than with balls grown through the path's start (2,156 for 1,114
-# nodes): its balls leave out the first end, so each pair of ends grows its
-# own ball, and deeper, while its search nodes fall to 24.  On the array
-# side each hole pair's floor ball also runs to exhaustion.
+# and is searched whole, as in _HOLE_WORK below.
 _EXPANSION_WORK = [
-    (det.find_prism, "line_of_wall", 21, 699, 1_559),  # n=123
-    (det.find_theta, "wall", 24, 4_184, 5_239),  # n=112
-    (det.find_even_hole, "line_of_wall", 170, 448, 1_702),  # n=123
+    (det.find_prism, "line_of_wall", 21, 700, 1_561),  # n=123
+    (det.find_theta, "wall", 1_114, 2_156, 4_498),  # n=112
+    (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
 ]
+# The theta expands more frontiers for fewer search nodes: its balls leave
+# out the first end, so each pair of ends grows its own ball, and deeper.
+# On the array side each hole pair's floor ball also runs to exhaustion.
+_EXPANSION_NOW = {
+    det.find_prism: (21, 699, 1_559),
+    det.find_theta: (24, 4_184, 5_239),
+    det.find_even_hole: (170, 448, 1_702),
+}
 
 
-@pytest.mark.parametrize("finder,kind,nodes,grown,exhausted", _EXPANSION_WORK)
-def test_balls_grow_only_as_far_as_asked(finder, kind, nodes, grown, exhausted, monkeypatch):
+@pytest.mark.parametrize("finder,kind,nodes_src,grown_src,exhausted_src", _EXPANSION_WORK)
+def test_balls_grow_only_as_far_as_asked(
+    finder, kind, nodes_src, grown_src, exhausted_src, monkeypatch
+):
     g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
     made = _counted_expansions(monkeypatch)
-    with whole_graph():
-        w = finder(g, guard=128, budget=nodes)
-        assert len(made) == grown
+    found = []
+    pins_src = (nodes_src, grown_src, exhausted_src)
+    for route, (nodes, grown, exhausted) in _routes(_EXPANSION_NOW[finder], pins_src):
         made.clear()
-        with distance_arrays():
-            assert finder(g, guard=128, budget=nodes) == w
-        assert len(made) == exhausted
-    assert w is not None and det.validate_witness(g, w)
+        with whole_graph(), route():
+            w = finder(g, guard=128, budget=nodes)
+            assert len(made) == grown
+            made.clear()
+            with distance_arrays():
+                assert finder(g, guard=128, budget=nodes) == w
+            assert len(made) == exhausted
+        assert w is not None and det.validate_witness(g, w)
+        found.append((w, nodes))
+    (w, nodes), (w_src, nodes_src) = found
+    assert w == w_src and nodes <= nodes_src
 
 
 def test_prism_screens_only_the_pairs_that_fit():
@@ -277,26 +314,35 @@ def _wheel_free_clique_sum():
 # obstruction is one atom; the clique sum is searched whole here, as it was
 # before the finders went atom by atom.
 _HOLE_WORK = [
-    (det.find_even_wheel, "clique_sum", False, 15, 1_590, 29, 8_100),  # n=29
-    (det.find_even_hole, "line_of_wall", True, 60, 170, 123, 5_018),  # n=123
+    (det.find_even_wheel, "clique_sum", False, 15, 2_620, 29, 8_100),  # n=29
+    (det.find_even_hole, "line_of_wall", True, 60, 1_743, 123, 5_018),  # n=123
 ]
+_HOLE_NOW = {det.find_even_wheel: (15, 1_590), det.find_even_hole: (60, 170)}
 
 
-@pytest.mark.parametrize("finder,kind,found,calls,nodes,old_calls,old_nodes", _HOLE_WORK)
+@pytest.mark.parametrize(
+    "finder,kind,found,calls_src,nodes_src,dfs_calls,dfs_nodes", _HOLE_WORK
+)
 def test_hole_stream_work_is_pinned(
-    finder, kind, found, calls, nodes, old_calls, old_nodes, monkeypatch
+    finder, kind, found, calls_src, nodes_src, dfs_calls, dfs_nodes, monkeypatch
 ):
     if kind == "clique_sum":
         g = _wheel_free_clique_sum()
     else:
         g = basic_obstruction(4, kind, seed=SplitMix(1).next_u64())
     made = _counted_searches(monkeypatch)
-    with whole_graph():
-        w = finder(g, guard=128, budget=nodes)
-        assert (w is not None) == found and (w is None or det.validate_witness(g, w))
-        assert len(made) == calls < old_calls and 2 * nodes <= old_nodes
-        with pytest.raises(ScaleLimit):
-            finder(g, guard=128, budget=nodes - 1)
+    seen = []
+    for route, (calls, nodes) in _routes(_HOLE_NOW[finder], (calls_src, nodes_src)):
+        made.clear()
+        with whole_graph(), route():
+            w = finder(g, guard=128, budget=nodes)
+            assert (w is not None) == found and (w is None or det.validate_witness(g, w))
+            assert len(made) == calls < dfs_calls and 2 * nodes <= dfs_nodes
+            with pytest.raises(ScaleLimit):
+                finder(g, guard=128, budget=nodes - 1)
+        seen.append((w, nodes))
+    (w, nodes), (w_src, nodes_src) = seen
+    assert w == w_src and nodes <= nodes_src
 
 
 # finder, then the distance searches started and search nodes needed on the
@@ -305,26 +351,40 @@ def test_hole_stream_work_is_pinned(
 # a hole has no claw centre, no two disjoint triangles and no vertex of
 # degree >= 4, so only the even-hole search reads a hole.
 _ATOM_WORK = [
-    (det.find_even_hole, 5, 5, 15, 816),
-    (det.find_theta, 0, 0, 12, 394),
+    (det.find_even_hole, 5, 16, 15, 1_360),
+    (det.find_theta, 0, 0, 21, 1_349),
     (det.find_prism, 0, 0, 11, 0),
-    (det.find_even_wheel, 0, 0, 15, 1_590),
+    (det.find_even_wheel, 0, 0, 15, 2_620),
 ]
+_ATOM_NOW = {
+    det.find_even_hole: (5, 5, 15, 816),
+    det.find_theta: (0, 0, 12, 394),
+    det.find_prism: (0, 0, 11, 0),
+    det.find_even_wheel: (0, 0, 15, 1_590),
+}
 
 
-@pytest.mark.parametrize("finder,calls,nodes,whole_calls,whole_nodes", _ATOM_WORK)
-def test_atom_route_work_is_pinned(finder, calls, nodes, whole_calls, whole_nodes, monkeypatch):
+@pytest.mark.parametrize("finder,calls_src,nodes_src,whole_calls_src,whole_nodes_src", _ATOM_WORK)
+def test_atom_route_work_is_pinned(
+    finder, calls_src, nodes_src, whole_calls_src, whole_nodes_src, monkeypatch
+):
     g = _wheel_free_clique_sum()
     made = _counted_searches(monkeypatch)
-    with whole_graph():
-        assert finder(g, guard=128, budget=whole_nodes) is None
-    assert len(made) == whole_calls
-    made.clear()
-    assert finder(g, guard=128, budget=nodes) is None
-    assert len(made) == calls
-    if nodes:
-        with pytest.raises(ScaleLimit):
-            finder(g, guard=128, budget=nodes - 1)
+    pins_src = (calls_src, nodes_src, whole_calls_src, whole_nodes_src)
+    for route, (calls, nodes, whole_calls, whole_nodes) in _routes(_ATOM_NOW[finder], pins_src):
+        made.clear()
+        with route():
+            with whole_graph():
+                assert finder(g, guard=128, budget=whole_nodes) is None
+            assert len(made) == whole_calls
+            made.clear()
+            assert finder(g, guard=128, budget=nodes) is None
+            assert len(made) == calls
+            if nodes:
+                with pytest.raises(ScaleLimit):
+                    finder(g, guard=128, budget=nodes - 1)
+    _, nodes, _, whole_nodes = _ATOM_NOW[finder]
+    assert nodes <= nodes_src and whole_nodes <= whole_nodes_src
 
 
 def _glued_to_c5(n, edges):
@@ -346,26 +406,32 @@ _ODD_WHEEL = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (1, 5), (2, 5), (3
 # holding the structure), then the distance searches started and search nodes
 # needed.  Cap deepening and hole lengths stop at the size of the atom
 # searched; going on up to g.n would spend the nodes of the last caps again
-# and grow paths for holes longer than the atom.  Six of the prism's 11
+# and grow paths for holes longer than the atom.  Six of the prism's 13
 # searches are the corner balls of its one triangle pair, which screen out
-# no candidate here.  The theta's balls leave out the first end, so its
-# end pairs share one ball fewer than when they grew through it (11).
+# no candidate here.
 _TWO_ATOM_WORK = [
-    (det.find_theta, 7, _CUBE_MINUS_VERTEX, 12, 44),
-    (det.find_prism, 9, _CHORDED_PRISM, 11, 8),
+    (det.find_theta, 7, _CUBE_MINUS_VERTEX, 11, 44),
+    (det.find_prism, 9, _CHORDED_PRISM, 13, 8),
     (det.find_even_wheel, 6, _ODD_WHEEL, 5, 21),
 ]
+# Six of the prism's 11 are still its corner balls.  The theta's balls leave
+# out the first end, so its end pairs share one ball fewer.
+_TWO_ATOM_NOW = {det.find_theta: (12, 44), det.find_prism: (11, 8), det.find_even_wheel: (5, 21)}
 
 
-@pytest.mark.parametrize("finder,n,edges,calls,nodes", _TWO_ATOM_WORK)
-def test_two_atom_work_is_pinned(finder, n, edges, calls, nodes, monkeypatch):
+@pytest.mark.parametrize("finder,n,edges,calls_src,nodes_src", _TWO_ATOM_WORK)
+def test_two_atom_work_is_pinned(finder, n, edges, calls_src, nodes_src, monkeypatch):
     g = _glued_to_c5(n, edges)
     assert len(atoms(g)) == 2 and det.find_hole(g) is not None
     made = _counted_searches(monkeypatch)
-    assert finder(g, budget=nodes) is None
-    assert len(made) == calls
-    with pytest.raises(ScaleLimit):
-        finder(g, budget=nodes - 1)
+    for route, (calls, nodes) in _routes(_TWO_ATOM_NOW[finder], (calls_src, nodes_src)):
+        made.clear()
+        with route():
+            assert finder(g, budget=nodes) is None
+            assert len(made) == calls
+            with pytest.raises(ScaleLimit):
+                finder(g, budget=nodes - 1)
+    assert _TWO_ATOM_NOW[finder][1] <= nodes_src
 
 
 def test_even_wheel_cases():
