@@ -42,19 +42,23 @@ DEFAULT_BUDGET = 5_000_000
 
 
 class _Budget:
-    """Search nodes left for one finder call, and that call's distance memo:
-    the graph does not change during the call, so the ball around a vertex
+    """Search nodes left for one finder call, and that call's memos.  The
+    graph does not change during the call, so the ball around a vertex
     inside a mask (see _Ball) is grown once, however many atoms, candidates,
-    roots, length caps, hole pair floors and prism corner screens ask for
-    it.  A path search's mask leaves out the path's start (see _to_dst), so
-    two starts share a ball only when their pools do."""
+    roots, length caps, hole pair floors, theta end balls and prism corner
+    screens ask for it.  A path search's mask leaves out the path's start
+    (see _to_dst), so two starts share a ball only when their pools do.
+    The floor of a theta's pair of ends, filed per cap (see _theta_pairs),
+    is kept by its ask, where _floor reads it without growing the pair's
+    own ball."""
 
-    __slots__ = ("left", "what", "balls")
+    __slots__ = ("left", "what", "balls", "floors")
 
     def __init__(self, nodes: int, what: str):
         self.left = nodes
         self.what = what
         self.balls: dict[tuple[int, int], _Ball] = {}
+        self.floors: dict[tuple[int, int, int, int], int] = {}
 
     def spend(self) -> None:
         self.left -= 1
@@ -246,23 +250,29 @@ def _cycles(
     read once, after the pair's first search has grown the ball, and the
     pair is skipped at every later length below it, so its short paths are
     not regrown and dropped at each length.  Read before the first length,
-    it would grow balls for pairs whose search ends there."""
-    floors: dict[tuple[int, int], int] = {}
+    it would grow balls for pairs whose search ends there.  The pairs and
+    their pools are listed once, each floor kept beside its pair, and a
+    pair with no cycle leaves the list after the first length."""
+    pairs = []  # [floor, root, a, pool] per pair in search order, floor 0 until read
+    for root in bits(part):
+        above = part >> (root + 1) << (root + 1)
+        ups = g.adj[root] & above
+        for a in list(bits(ups))[:-1]:
+            pairs.append([0, root, a, above & ~(ups & ((1 << a) - 1))])
+    size = part.bit_count()
     for target in lengths:
-        for root in bits(part):
-            above = part >> (root + 1) << (root + 1)
-            ups = g.adj[root] & above
-            for a in list(bits(ups))[:-1]:
-                if floors.get((root, a), target) > target:
-                    continue
-                pool = above & ~(ups & ((1 << a) - 1))
-                for p in _induced_paths(g, a, root, pool, target - 1, budget):
-                    if len(p) == target:
-                        yield (root, *p[:-1])
-                if (root, a) not in floors:
-                    inner, ball = _to_dst(g, a, root, pool, budget)
-                    d = ball.radius_holding(g.adj[a] & inner, 1)
-                    floors[root, a] = d + 2 if d >= 0 else part.bit_count() + 1
+        for pair in pairs:
+            floor, root, a, pool = pair
+            if floor > target:
+                continue
+            for p in _induced_paths(g, a, root, pool, target - 1, budget):
+                if len(p) == target:
+                    yield (root, *p[:-1])
+            if not floor:
+                inner, ball = _to_dst(g, a, root, pool, budget)
+                d = ball.radius_holding(g.adj[a] & inner, 1)
+                pair[0] = d + 2 if d >= 0 else size + 1
+        pairs = [pair for pair in pairs if pair[0] <= size]
 
 
 def _first_even_hole(g: Graph, part: int, budget: _Budget):
@@ -338,7 +348,11 @@ def _floor(g: Graph, src: int, dst: int, allowed: int, m: int, budget: _Budget) 
     neighbors x in the pool, each of length >= 1 + dist(x, dst), the
     distance inside the pool plus dst.  At m = 1 it is exact, since a
     shortest path inside the pool plus both ends is induced.  The ball
-    around dst grows only until it holds m of those neighbors."""
+    around dst grows only until it holds m of those neighbors.  A floor
+    the finder call has filed is read from its memo instead."""
+    known = budget.floors.get((src, dst, allowed, m))
+    if known is not None:
+        return known
     if g.has_edge(src, dst):
         return 1 if m == 1 else -1
     pool, ball = _to_dst(g, src, dst, allowed, budget)
@@ -465,41 +479,78 @@ def _shortest_three_paths(g: Graph, part: int, fresh: Iterator[list], asks_of, b
     return None
 
 
-def _by_bound(candidates: Iterable) -> Iterator[list]:
-    """Per cap from 1, the (order, key) pairs whose bound is the cap, for
-    (bound, key) pairs in search order, order the index; each key is filed
-    once, and a bound of -1 never.  Spent after the largest bound."""
-    fits: dict[int, list] = {}
-    for index, (bound, key) in enumerate(candidates):
-        if bound > 0:
-            fits.setdefault(bound, []).append((index, key))
-    cap = 0
-    while fits:
-        cap += 1
-        yield fits.pop(cap, [])
-
-
 def _claw_centre(g: Graph, v: int, part: int) -> bool:
     """Whether v has three pairwise non-adjacent neighbors inside part."""
     return next(stable_sets(g.adj, g.adj[v] & part, 3), None) is not None
 
 
+def _theta_pairs(g: Graph, part: int, ends: int, budget: _Budget) -> Iterator[list]:
+    """Per cap from 1, the ((a, z), (a, z)) pairs of non-adjacent ends
+    a < z in the mask ends whose floor is the cap: the floor of the ask of
+    three a-z paths inside part, 1 plus the third least distance from a
+    neighbour of a to z inside part minus a.  Each floor filed is kept in
+    the finder call's memo, and a pair without one is never filed.  Spent
+    once no pair is left to file.
+
+    Distance is symmetric, so z lies within r of a's neighbour x inside
+    part minus a exactly when x lies within r of z there: the floor is 1
+    plus the least radius at which z lies in three of the balls around a's
+    neighbours.  Those balls are shared by every partner z of a and grow
+    one layer per cap, together.  Masks of the partners met by at least
+    one, two and three of them file each pair at its floor, and no ball
+    grows past the cap the search reaches.  An end with no more partners
+    than neighbours reads each pair's floor from the pair's own ball
+    instead, before cap 1, so an end starts at most as many distance
+    searches as the fewer of its partners and its neighbours."""
+    filed: dict[int, list] = {}
+    # per end on shared balls: [partners not yet filed, the end, the balls
+    # still growing, the partners in at least one, and two, of them]
+    shared = []
+    for a in bits(ends):
+        partners = ends >> (a + 1) << (a + 1) & ~g.adj[a]
+        near = g.adj[a] & part
+        if partners.bit_count() > near.bit_count():
+            shared.append([partners, a, [budget.ball(g, x, part & ~(1 << a)) for x in bits(near)], 0, 0])
+            continue
+        for z in bits(partners):
+            ask = (a, z, part & ~(1 << a | 1 << z), 3)
+            floor = budget.floors[ask] = _floor(g, *ask, budget)
+            if floor > 0:
+                filed.setdefault(floor, []).append(((a, z), (a, z)))
+    cap = 0
+    while shared or filed:
+        cap += 1
+        new = filed.pop(cap, [])
+        for entry in shared if cap > 1 else ():  # a neighbour is no partner: radius 0 files none
+            left, a, balls, one, two = entry
+            three = 0
+            growing = []
+            for ball in balls:
+                layer = ball.layer(cap - 1)
+                if layer is not None:
+                    growing.append(ball)
+                    layer &= left
+                    three |= two & layer
+                    two |= one & layer
+                    one |= layer
+            for z in bits(three):
+                budget.floors[a, z, part & ~(1 << a | 1 << z), 3] = cap
+                new.append(((a, z), (a, z)))
+            entry[:] = [left & ~three, a, growing, one, two]
+        shared = [entry for entry in shared if entry[0] and entry[2]]
+        yield new
+
+
 def _first_theta(g: Graph, part: int, budget: _Budget):
     """(cap, ((a, z), paths)) of the shortest-first theta inside part, or
-    None.  Only a claw centre of part can be an end; a pair of ends is
-    bounded by its first floor."""
-    ends = [v for v in bits(part) if _claw_centre(g, v, part)]
+    None.  Only a claw centre of part can be an end; each pair of ends is
+    filed per cap at its floor (see _theta_pairs)."""
+    ends = mask_of(v for v in bits(part) if _claw_centre(g, v, part))
 
     def asks_of(key):
         return ((*key, part & ~mask_of(key), 3),)
 
-    candidates = [
-        (_floor(g, *asks_of((a, z))[0], budget), (a, z))
-        for a in ends
-        for z in ends
-        if z > a and not g.has_edge(a, z)
-    ]
-    return _shortest_three_paths(g, part, _by_bound(candidates), asks_of, budget)
+    return _shortest_three_paths(g, part, _theta_pairs(g, part, ends, budget), asks_of, budget)
 
 
 def find_theta(

@@ -23,11 +23,16 @@ Then the route before prism candidates were built per cap: every
 cap, and cap deepening over the full (bound, key) list of the prism or the
 theta.  eager_screens() runs both finders on it.
 
-Last, the route before the balls of floors and path searches left out the
-path's start: each ball grown inside the pool plus both ends, and every
-(root, a) pair of the hole stream searched at every length.
-balls_through_src() runs every finder on it, and eager_first_floors()
-runs inside it, as that route did.
+Then the route before the balls of floors and path searches left out the
+path's start: each ball grown inside the pool plus both ends, every
+(root, a) pair of the hole stream searched at every length, and the
+theta's pairs read as below.  balls_through_src() runs every finder on
+it, and eager_first_floors() runs inside it, as that route did.
+
+Last, the theta's route before its pairs of ends were filed per cap from
+balls shared by each end's pairs: the floor of every pair read from the
+pair's own ball before the first cap, and kept by no memo.
+pair_floors_first() runs find_theta on it.
 """
 
 from array import array
@@ -324,7 +329,8 @@ def listed_three_paths(g: Graph, part: int, candidates, asks_of, budget):
 
 
 def listed_first_theta(g: Graph, part: int, budget):
-    """detectors._first_theta over the full list of its pairs."""
+    """The theta's search over the full list of its pairs of ends, the
+    floor of each read from the pair's own ball before the first cap."""
     ends = [v for v in bits(part) if detectors._claw_centre(g, v, part)]
 
     def asks_of(key):
@@ -424,13 +430,26 @@ def cycles_without_floors(g: Graph, part: int, lengths, budget):
 def balls_through_src():
     """Within the block, every ball of a floor or path search grows inside
     the pool plus both ends, and the hole stream skips no (root, a) pair:
-    the route before balls left out the path's start.  Same memo, atoms
-    and budget.  Inside distance_arrays() the arrays are kept on the same
-    masks."""
+    the route before balls left out the path's start, with the theta's
+    pairs read as in pair_floors_first().  Same memo, atoms and budget.
+    Inside distance_arrays() the arrays are kept on the same masks."""
     with (
-        mock.patch.multiple(detectors, _to_dst=to_dst_through_src, _cycles=cycles_without_floors),
+        mock.patch.multiple(
+            detectors, _to_dst=to_dst_through_src, _cycles=cycles_without_floors, _first_theta=listed_first_theta
+        ),
         mock.patch.dict(globals(), to_dst=arrays_through_src),
     ):
+        yield
+
+
+@contextmanager
+def pair_floors_first():
+    """Within the block, find_theta reads the floor of every pair of ends
+    from the pair's own ball before the first cap, as eager_screens() does,
+    and keeps none of them: the route before its pairs were filed per cap
+    from balls shared by each end's pairs.  Same memo, atoms, budget and
+    search order."""
+    with mock.patch.object(detectors, "_first_theta", listed_first_theta):
         yield
 
 

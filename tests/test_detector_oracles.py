@@ -25,6 +25,7 @@ from .deepening_oracles import (
     balls_through_src,
     eager_first_floors,
     eager_screens,
+    pair_floors_first,
     prism_by_deepening,
     spent,
     theta_by_deepening,
@@ -297,6 +298,35 @@ def test_hole_finders_match_balls_through_the_start():
     }
 
 
+def test_theta_pairs_filed_per_cap_match_every_floor_first():
+    # pairs of ends filed per cap from balls shared by each end's pairs,
+    # their floors kept, against every pair's floor read from its own ball
+    # before the first cap: the same witness and search nodes, since the
+    # same pairs reach the path search at each cap, and never more
+    # distance searches, radius reads or frontiers, graph by graph; on the
+    # t=3..6 obstructions at seeds 0-2 and every class on at most 7
+    # vertices
+    graphs = [
+        basic_obstruction(t, kind, seed=seed)
+        for t in range(3, 7)
+        for seed in range(3)
+        for kind in ("wall", "line_of_wall", "biclique")
+    ]
+    graphs += [g for n in range(8) for g in enumerate_graphs(n)]
+    totals = [0] * 8
+    for g in graphs:
+        atoms(g)  # once per graph, outside the counts
+        w, nodes, *work = spent(det.find_theta, g, guard=max(g.n, 1))
+        with pair_floors_first():
+            w_old, nodes_old, *work_old = spent(det.find_theta, g, guard=max(g.n, 1))
+        assert w == w_old and nodes == nodes_old
+        assert all(a <= b for a, b in zip(work, work_old))
+        totals = [a + b for a, b in zip(totals, [nodes, *work, nodes_old, *work_old])]
+    # (nodes, searches, reads, frontiers) in all, per cap then every floor
+    # first
+    assert totals == [1_039, 2_572, 1_139, 14_157, 1_039, 9_388, 9_219, 168_304]
+
+
 def test_prism_matches_the_screen_everything_route():
     # candidates built per cap against every corner screen read before the
     # first cap: the same witness and search nodes, since the same
@@ -361,7 +391,8 @@ def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
     # by atom as the finders run and on the whole graph; on the absence
     # inputs and every class on at most 7 vertices.  The totals of
     # (searches, reads, frontiers) per finder, per cap then eager, are
-    # pinned: the theta's are equal, the prism's fall.
+    # pinned: all fall.  The theta reads each filed floor from its memo, and
+    # searched whole, its ends with many partners share balls.
     graphs = _absence_inputs() + [g for n in range(8) for g in enumerate_graphs(n)]
     totals = {}
     for g in graphs:
@@ -382,9 +413,9 @@ def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
         ("find_prism", "nullcontext", "eager"): [106, 121, 110],
         ("find_prism", "whole_graph", "per cap"): [424, 115, 641],
         ("find_prism", "whole_graph", "eager"): [495, 2_321, 913],
-        ("find_theta", "nullcontext", "per cap"): [1_192, 1_047, 1_363],
+        ("find_theta", "nullcontext", "per cap"): [1_192, 815, 1_363],
         ("find_theta", "nullcontext", "eager"): [1_192, 1_047, 1_363],
-        ("find_theta", "whole_graph", "per cap"): [1_560, 5_848, 2_848],
+        ("find_theta", "whole_graph", "per cap"): [1_556, 4_068, 2_817],
         ("find_theta", "whole_graph", "eager"): [1_560, 5_848, 2_848],
     }
 

@@ -181,9 +181,10 @@ _PINNED_WORK = [
     (det.find_prism, "line_of_wall", 64, 21, 13_859, 1_407),  # n=123
     (det.find_theta, "wall", 205, 1_114, 3_841, 11_671),  # n=112
 ]
-# the theta starts more distance searches: its balls leave out the first
-# end, so each pair of ends grows its own ball
-_PINNED_NOW = {det.find_prism: (64, 21), det.find_theta: (235, 24)}
+# the theta's balls leave out the first end, so an end with more partners
+# than neighbours grows one ball per neighbour, shared by its pairs, and
+# the others one per pair of ends
+_PINNED_NOW = {det.find_prism: (64, 21), det.find_theta: (64, 24)}
 
 
 def _counted_searches(monkeypatch) -> list:
@@ -249,12 +250,12 @@ _EXPANSION_WORK = [
     (det.find_theta, "wall", 1_114, 2_156, 4_498),  # n=112
     (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
 ]
-# The theta expands more frontiers for fewer search nodes: its balls leave
-# out the first end, so each pair of ends grows its own ball, and deeper.
-# On the array side each hole pair's floor ball also runs to exhaustion.
+# The theta's end balls grow one layer per cap, shared by each end's pairs,
+# and stop at the witness's cap.  On the array side each hole pair's floor
+# ball and each theta end ball also run to exhaustion.
 _EXPANSION_NOW = {
     det.find_prism: (21, 699, 1_559),
-    det.find_theta: (24, 4_184, 5_239),
+    det.find_theta: (24, 764, 1_577),
     det.find_even_hole: (170, 448, 1_702),
 }
 
@@ -295,6 +296,69 @@ def test_prism_screens_only_the_pairs_that_fit():
         w, nodes, _, reads, frontiers = spent(det.find_prism, g, guard=g.n)
     assert w is not None and det.validate_witness(g, w)
     assert (nodes, reads, frontiers) == (17, 24, 4_098)
+
+
+# obstruction kind and finder, then (search nodes, distance searches, radius
+# reads, frontiers) as spent counts them, and the witness's detail, on the
+# t=10 obstructions of seed 1 (n=664 and 753, each one atom, its atoms found
+# first), with guard = n.  Walls have no triangle and no vertex of degree 4,
+# and line graphs have no claw, so four calls do no search: their rows pin
+# those shortcuts.  With every floor of its pairs of ends read before the
+# first cap (deepening_oracles.pair_floors_first) the theta took (20,
+# 15,757, 15,756, 488,651).
+_SCALE_WORK = {
+    ("wall", det.find_even_hole): (
+        (406, 396, 396, 14_998),
+        (("cycle", (160, 563, 161, 565, 162, 567, 184, 609, 183, 608, 182, 564)),),
+    ),
+    ("wall", det.find_even_wheel): ((0, 0, 0, 0), None),
+    ("wall", det.find_theta): (
+        (20, 532, 8, 4_863),
+        (
+            ("ends", (114, 115)),
+            (
+                "paths",
+                (
+                    (114, 471, 113, 425, 91, 424, 92, 426, 93, 429, 115),
+                    (114, 472, 473, 115),
+                    (114, 474, 136, 515, 137, 516, 138, 477, 116, 475, 115),
+                ),
+            ),
+        ),
+    ),
+    ("wall", det.find_prism): ((0, 0, 0, 0), None),
+    ("line_of_wall", det.find_even_hole): (
+        (1_090, 410, 410, 3_130),
+        (("cycle", (456, 457, 519, 521, 522, 523, 526, 525, 463, 461, 460, 459)),),
+    ),
+    ("line_of_wall", det.find_even_wheel): ((0, 0, 0, 0), None),
+    ("line_of_wall", det.find_theta): ((0, 0, 0, 0), None),
+    ("line_of_wall", det.find_prism): (
+        (17, 457, 24, 4_098),
+        (
+            ("triangles", ((321, 322, 323), (324, 325, 326))),
+            (
+                "paths",
+                (
+                    (321, 320, 318, 256, 255, 258, 259, 260, 262, 324),
+                    (322, 702, 325),
+                    (323, 385, 387, 388, 389, 392, 391, 329, 327, 326),
+                ),
+            ),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ["wall", "line_of_wall"])
+def test_hole_finders_work_is_pinned_at_the_papers_scale(kind):
+    g = basic_obstruction(10, kind, seed=1)
+    atoms(g)  # once per graph, outside the counts
+    for finder in (det.find_even_hole, det.find_even_wheel, det.find_theta, det.find_prism):
+        w, *work = spent(finder, g, guard=g.n)
+        pinned, detail = _SCALE_WORK[kind, finder]
+        assert tuple(work) == pinned
+        assert (w is None and detail is None) or (w.detail == detail and det.validate_witness(g, w))
 
 
 def _wheel_free_clique_sum():

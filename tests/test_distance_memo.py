@@ -3,7 +3,8 @@
 (tests/deepening_oracles.py): the same floors, the same paths in the same
 order, the same budget spent and the same distance searches started.  Then
 the bounds read from the balls, which leave out each path's start, against
-paths and holes found by brute force without a ball."""
+paths and holes found by brute force without a ball, and the floors of
+theta end pairs filed per cap against those the balls read one by one."""
 
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as hst
 
 from obslab import detectors as det
 from obslab.errors import ScaleLimit
-from obslab.generators import cycle, path_graph
+from obslab.generators import cycle, path_graph, random_graph
 from obslab.graph_core import Graph, bits
 
 from .conftest import graphs
@@ -130,6 +131,55 @@ def test_hole_floors_skip_no_hole(g):
     holes = list(det._cycles(g, g.full_mask(), lengths, budget))
     with mock.patch.object(det, "_induced_paths", lambda g, *ask: _paths_by_brute_force(g, *ask[:4])):
         assert list(cycles_without_floors(g, g.full_mask(), lengths, budget)) == holes
+
+
+def _theta_floors_checked(g, part, ends):
+    """The pairs of ends det._theta_pairs files per cap, each against the
+    floor of its ask read by det._floor on a budget of its own, and every
+    pair it never files against a floor of -1; the number of pairs filed
+    from ends with more partners than neighbours, and from the others."""
+    budget = det._Budget(10**6, "theta pairs")
+    filed = {}
+    for cap, pairs in enumerate(det._theta_pairs(g, part, ends, budget), 1):
+        for order, key in pairs:
+            assert order == key and key not in filed
+            filed[key] = cap
+    counts = [0, 0]
+    for a in bits(ends):
+        partners = ends >> (a + 1) << (a + 1) & ~g.adj[a]
+        for z in bits(partners):
+            ask = (a, z, part & ~(1 << a | 1 << z), 3)
+            floor = det._floor(g, *ask, det._Budget(10**6, "floor"))
+            assert filed.pop((a, z), -1) == floor
+            if floor > 0:
+                # the memo keeps it, for _anticomplete_paths to read
+                assert budget.floors[ask] == floor
+                counts[partners.bit_count() <= (g.adj[a] & part).bit_count()] += 1
+    assert not filed
+    return counts
+
+
+@given(graphs(min_n=2, max_n=10), hst.data())
+@settings(max_examples=200, deadline=None)
+def test_theta_floors_filed_per_cap_are_exact(g, data):
+    # an end with more partners than neighbours files its pairs from the
+    # balls around its neighbours, grown one layer per cap; the others read
+    # each pair's floor from the pair's own ball.  Both give exactly
+    # _floor's answer, and a pair without a floor is never filed.
+    mask = hst.integers(min_value=0, max_value=g.full_mask())
+    part = data.draw(hst.one_of(hst.just(g.full_mask()), mask))
+    ends = data.draw(hst.one_of(hst.just(part), mask)) & part
+    _theta_floors_checked(g, part, ends)
+
+
+def test_theta_floors_filed_per_cap_take_both_routes():
+    # on seeded graphs of 10 vertices, every vertex an end: pairs are filed
+    # from shared balls and from their own
+    counts = [0, 0]
+    for seed in range(40):
+        g = random_graph(10, seed)
+        counts = [a + b for a, b in zip(counts, _theta_floors_checked(g, g.full_mask(), g.full_mask()))]
+    assert counts == [206, 541]
 
 
 # graph, then the asks and their answers; 5 is out of reach of the path
