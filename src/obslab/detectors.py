@@ -19,7 +19,7 @@ reproducible byte for byte.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product, zip_longest
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput, ScaleLimit
@@ -45,8 +45,9 @@ class _Budget:
     """Search nodes left for one finder call, and that call's memos.  The
     graph does not change during the call, so the ball around a vertex
     inside a mask (see _Ball) is grown once, however many atoms, candidates,
-    roots, length caps, hole pair floors, theta end balls and prism corner
-    screens ask for it.  A path search's mask leaves out the path's start
+    roots, length caps, hole pair floors, sweeps of theta end balls and
+    prism corner balls (see _meetings) and prism corner screens ask for
+    it.  A path search's mask leaves out the path's start
     (see _to_dst), so two starts share a ball only when their pools do.
     The floor of a theta's pair of ends, filed per cap (see _theta_pairs),
     is kept by its ask, where _floor reads it without growing the pair's
@@ -106,14 +107,13 @@ class _Ball(list):
         return self[: radius + 1] + [self[-1]] * (radius + 1 - len(self))
 
     def layer(self, d: int) -> int | None:
-        """The vertices at distance exactly d >= 1, the ball grown by one
-        layer when d is the next, or None once the search has ended short
-        of d."""
+        """The vertices at distance exactly d, the ball grown by one layer
+        when d is the next, or None once the search has ended short of d."""
         if len(self) <= d:
             next(self._more(), None)
             if len(self) <= d:
                 return None
-        return self[d] & ~self[d - 1]
+        return self[d] & ~self[d - 1] if d else self[0]
 
     def radius_holding(self, mask: int, m: int) -> int:
         """The least d with m vertices of mask in ball[d], or -1 when the
@@ -449,34 +449,101 @@ def _anticomplete_paths(
 
 def _shortest_three_paths(g: Graph, part: int, fresh: Iterator[list], asks_of, budget: _Budget):
     """Cap deepening for the vertex mask part over candidates that fresh
-    gives per cap, from cap 1 on: a list of (order, key) pairs, the keys
-    whose bound is that cap, order their place in search order.  A bound is
-    a lower bound on the longest path of the key's asks, asks_of(key),
-    every pool inside part; a key whose asks cannot be met is never given.
-    At each cap, the first candidate with anticomplete paths of length <=
-    cap gives (cap, (key, paths)), else None.  Caps stop at the size of
-    part, which no path inside it exceeds, or as soon as fresh is spent and
-    no candidate is left.
+    gives per cap, from cap 1 on: a list of (bound, key) pairs, each key
+    given once, at a cap no later than its bound, and keys sorting in
+    search order.  A bound is a lower bound on the longest path of the
+    key's asks, asks_of(key), every pool inside part; a key whose asks
+    cannot be met is never given.  At each cap, the first candidate with
+    anticomplete paths of length <= cap gives (cap, (key, paths)), else
+    None.  Caps stop at the size of part, which no path inside it exceeds,
+    or as soon as fresh is spent and no candidate is left.
 
-    A candidate is searched only at caps from its bound up, in search
-    order, and its asks are built at the first of them.  _anticomplete_paths
-    grows no path below the floor of every ask, and each floor is at least
-    the bound, so the same candidates reach _induced_paths at each cap as
-    if every one were searched at every cap.  Every candidate was searched
-    exhaustively at cap - 1, so the longest path found has length exactly
-    cap: shortest first."""
-    live: list = []  # (order, key, asks) of the candidates whose bound fits, in search order
+    Each candidate is filed under its bound, searched only at caps from
+    its bound up, in search order, and its asks are built at the first of
+    them.  _anticomplete_paths grows no path below the floor of every ask,
+    and each floor is at least the bound, so the same candidates reach
+    _induced_paths at each cap as if every one were searched at every cap.
+    Every candidate was searched exhaustively at cap - 1, so the longest
+    path found has length exactly cap: shortest first."""
+    filed: dict[int, list] = {}  # the keys given before their bound, per bound
+    live: list = []  # (key, asks) of the candidates whose bound fits, in search order
     for cap in range(1, part.bit_count() + 1):
         new = next(fresh, None)
-        if new is None and not live:
+        if new is None and not filed and not live:
             return None
-        if new:
-            live = sorted(live + [(order, key, asks_of(key)) for order, key in new])
-        for _, key, asks in live:
+        for bound, key in new or ():
+            filed.setdefault(bound, []).append(key)
+        if cap in filed:
+            live = sorted(live + [(key, asks_of(key)) for key in filed.pop(cap)])
+        for key, asks in live:
             paths = _anticomplete_paths(g, asks, cap, budget)
             if paths is not None:
                 return cap, (key, paths)
     return None
+
+
+def _meetings(g: Graph, groups: dict, index, budget: _Budget) -> Iterator[list[tuple]]:
+    """Per radius from 0, the (name, target) pairs such that three distinct
+    balls of the group name meet the target, one it wants, for the first
+    time at that radius; spent once no group wants anything.  groups maps
+    each name to (wanted, ends): a mask of targets and the (end, mask) keys
+    of the group's balls in the finder call's memo (see _Budget.ball).  A
+    ball meets the targets that index, from a vertex mask to a target mask,
+    gives for its vertices.
+
+    The balls of every group grow together, one layer per radius, and only
+    as far as three meetings need.  A ball starts, in the group's order,
+    once some wanted target could still be met three times if it and every
+    later ball met it, and then catches up to the radius at once.  So when
+    three balls reach a target by radius r, the third of them has started
+    by r, and the target is met three times at r.  A ball stops once it
+    has met every wanted target.  When a ball's search ends, a target that
+    three balls can no longer meet is dropped, an ended ball counting only
+    where it met: so a group with fewer than three balls wants nothing."""
+
+    def sweep(wanted: int, ends: list) -> Iterator[int]:
+        """Per radius, the targets of one group met by a third ball."""
+        k = live = len(ends)
+        if k < 3:
+            return
+        balls: list = [None] * k  # per ball once started, in the group's order
+        grown = [-1] * k  # the radius each ball has read, None once its search ended
+        met = [0] * k  # the wanted targets each ball met
+        one = two = ended_one = ended_two = 0  # met by at least one, two balls; ended balls
+        radius = 0
+        while wanted:
+            three = 0
+            for b, (end, mask) in enumerate(ends):
+                if grown[b] is None or not wanted & ~met[b]:
+                    continue  # its search ended, or it met every wanted target
+                if balls[b] is None:
+                    # a target met by 3 - (k - b) of the balls before it, or any once k - b >= 3
+                    if not wanted & (-1, one, two)[max(0, 3 - k + b)]:
+                        break  # no later ball starts either
+                    balls[b] = budget.ball(g, end, mask)
+                while grown[b] < radius and wanted & ~met[b]:
+                    grown[b] += 1
+                    layer = balls[b].layer(grown[b])
+                    if layer is None:
+                        grown[b] = None
+                        ended_two |= ended_one & met[b]
+                        ended_one |= met[b]
+                        live -= 1
+                        if live < 3:
+                            wanted &= (0, ended_two, ended_one)[live]
+                        break
+                    new = index(layer) & wanted & ~met[b]
+                    if new:
+                        met[b] |= new
+                        three |= two & new
+                        wanted &= ~three
+                        two |= one & new
+                        one |= new
+            yield three
+            radius += 1
+
+    for met in zip_longest(*(sweep(*group) for group in groups.values()), fillvalue=0):
+        yield [(name, t) for name, three in zip(groups, met) if three for t in bits(three)]
 
 
 def _claw_centre(g: Graph, v: int, part: int) -> bool:
@@ -485,60 +552,39 @@ def _claw_centre(g: Graph, v: int, part: int) -> bool:
 
 
 def _theta_pairs(g: Graph, part: int, ends: int, budget: _Budget) -> Iterator[list]:
-    """Per cap from 1, the ((a, z), (a, z)) pairs of non-adjacent ends
-    a < z in the mask ends whose floor is the cap: the floor of the ask of
-    three a-z paths inside part, 1 plus the third least distance from a
-    neighbour of a to z inside part minus a.  Each floor filed is kept in
-    the finder call's memo, and a pair without one is never filed.  Spent
-    once no pair is left to file.
+    """Per cap from 1, the (floor, (a, z)) pairs of non-adjacent ends a < z
+    in the mask ends, each at a cap no later than its floor: the floor of
+    the ask of three a-z paths inside part, 1 plus the third least distance
+    from a neighbour of a to z inside part minus a.  Each floor filed is
+    kept in the finder call's memo, and a pair without one is never filed.
 
     Distance is symmetric, so z lies within r of a's neighbour x inside
     part minus a exactly when x lies within r of z there: the floor is 1
     plus the least radius at which z lies in three of the balls around a's
-    neighbours.  Those balls are shared by every partner z of a and grow
-    one layer per cap, together.  Masks of the partners met by at least
-    one, two and three of them file each pair at its floor, and no ball
-    grows past the cap the search reaches.  An end with no more partners
-    than neighbours reads each pair's floor from the pair's own ball
-    instead, before cap 1, so an end starts at most as many distance
-    searches as the fewer of its partners and its neighbours."""
-    filed: dict[int, list] = {}
-    # per end on shared balls: [partners not yet filed, the end, the balls
-    # still growing, the partners in at least one, and two, of them]
-    shared = []
+    neighbours.  Those balls are one group of _meetings, shared by every
+    partner z of a, and a pair met at radius r is filed at cap r + 1.  An
+    end with no more partners than neighbours reads each pair's floor from
+    the pair's own ball instead, filed at cap 1, so an end starts at most
+    as many distance searches as the fewer of its partners and its
+    neighbours."""
+    pairs = []
+    groups = {}  # per end with more partners than neighbours: (partners, the balls around its neighbours)
     for a in bits(ends):
         partners = ends >> (a + 1) << (a + 1) & ~g.adj[a]
         near = g.adj[a] & part
         if partners.bit_count() > near.bit_count():
-            shared.append([partners, a, [budget.ball(g, x, part & ~(1 << a)) for x in bits(near)], 0, 0])
+            groups[a] = (partners, [(x, part & ~(1 << a)) for x in bits(near)])
             continue
         for z in bits(partners):
             ask = (a, z, part & ~(1 << a | 1 << z), 3)
             floor = budget.floors[ask] = _floor(g, *ask, budget)
             if floor > 0:
-                filed.setdefault(floor, []).append(((a, z), (a, z)))
-    cap = 0
-    while shared or filed:
-        cap += 1
-        new = filed.pop(cap, [])
-        for entry in shared if cap > 1 else ():  # a neighbour is no partner: radius 0 files none
-            left, a, balls, one, two = entry
-            three = 0
-            growing = []
-            for ball in balls:
-                layer = ball.layer(cap - 1)
-                if layer is not None:
-                    growing.append(ball)
-                    layer &= left
-                    three |= two & layer
-                    two |= one & layer
-                    one |= layer
-            for z in bits(three):
-                budget.floors[a, z, part & ~(1 << a | 1 << z), 3] = cap
-                new.append(((a, z), (a, z)))
-            entry[:] = [left & ~three, a, growing, one, two]
-        shared = [entry for entry in shared if entry[0] and entry[2]]
-        yield new
+                pairs.append((floor, (a, z)))
+    yield pairs  # cap 1, where radius 0 files none: a neighbour of a is no partner
+    for cap, met in enumerate(islice(_meetings(g, groups, lambda reach: reach, budget), 1, None), 2):
+        for a, z in met:
+            budget.floors[a, z, part & ~(1 << a | 1 << z), 3] = cap
+        yield [(cap, key) for key in met]
 
 
 def _first_theta(g: Graph, part: int, budget: _Budget):
@@ -592,116 +638,80 @@ def _first_prism(g: Graph, part: int, budget: _Budget):
     and the largest of a candidate's three screens bounds its paths.
 
     Candidates are built per cap.  Every matching of t1 with t2 is bounded
-    below by the cap r at which the last corner of t1 has a corner of t2 in
-    its ball, so the pair is screened at cap r and not before: t1's corner
-    balls grow one layer per cap, the triangles met in each new layer are
-    read from an index by corner vertex, and each matching of a pair met
-    by all three corners is filed under its bound, which is at least r.
-    The corners start in turn, each once the one before it has met a
-    triangle that t1 waits for, and catch up to the cap at once; none
-    starts after the cap at which the one before it meets the pair, so the
-    pair is still screened at r.  A corner stops growing once it has met
-    every triangle that t1 still waits for, and a ball whose search ends
-    drops the triangles it never met, which no matching reaches.  So only
-    the triangle pairs that can fit under the last cap are screened, and a
-    triangle waits only for the later disjoint triangles that some
-    matching fits."""
+    below by the least radius r at which each corner of t1 has a corner of
+    t2 in its ball, so the pair is screened at cap r and not before: t1's
+    three corner balls are one group of _meetings, which reads the
+    triangles met from an index by corner vertex, and each matching of the
+    pair is filed under its bound, which is at least r.  The group wants
+    the later disjoint triangles that some matching fits."""
     tris = [tuple(bits(m)) for m in stable_sets([~a for a in g.adj], part, 3)]
     # per triangle and corner v: part minus the triangle and the
     # neighbourhood of its other two corners, and v; made when first read
     corner = _Rows(lambda t: {v: part & ~(mask_of(t) | g.neighborhood(mask_of(t) & ~(1 << v))) | 1 << v for v in t})
-
-    def radius(t: tuple, v: int, u: int) -> int:
-        """u's radius in the ball of t's corner v, or -1 outside it."""
-        return budget.ball(g, v, corner[t][v]).radius_holding(1 << u, 1)
-
-    def bound(t1: tuple, t2: tuple, pairs: tuple, screens: dict) -> int:
-        """The largest screen of the matched corner pairs, or -1 when an
-        end is out of reach; screens keeps each pair's screen for the
-        triangle pair, the second radius read only when the first is
-        not -1."""
-        top = 0
-        for u, w in pairs:
-            if (u, w) not in screens:
-                d = radius(t1, u, w)
-                e = radius(t2, w, u) if d > 0 else -1
-                screens[u, w] = -1 if e < 0 else max(d, e)
-            if screens[u, w] < 0:
-                return -1
-            top = max(top, screens[u, w])
-        return top
 
     def asks_of(key):
         # interiors avoid all six corners and every other corner's neighbourhood
         t1, t2, matched = key
         return tuple((u, w, corner[t1][u] & corner[t2][w] & ~(1 << u | 1 << w), 1) for u, w in zip(t1, matched))
 
-    def matchings(i: int, j: int) -> Iterator[tuple[int, tuple, tuple]]:
-        """(k, matched, corner pairs) of the k-th permutation of tris[j] that
-        touches tris[i] only at matched partners."""
-        t2m = mask_of(tris[j])
-        for k, matched in enumerate(permutations(tris[j])):
-            pairs = tuple(zip(tris[i], matched))
+    def matchings(t1: tuple, t2: tuple) -> Iterator[tuple[tuple, tuple]]:
+        """(matched, corner pairs) of the permutations of t2 that touch t1
+        only at matched partners."""
+        t2m = mask_of(t2)
+        for matched in permutations(t2):
+            pairs = tuple(zip(t1, matched))
             # corners may touch only their matched partner across the triangles
             if not any(g.adj[u] & t2m & ~(1 << w) for u, w in pairs):
-                yield k, matched, pairs
+                yield matched, pairs
 
-    def per_cap():
-        on: dict[int, int] = {}  # per corner vertex, the indices of its triangles as a mask
-        for i, t in enumerate(tris):
-            for v in t:
-                on[v] = on.get(v, 0) | 1 << i
-        corners = mask_of(on)
-        # per triangle t1 with a later disjoint triangle that some matching
-        # fits: [those not yet screened with it, i, then per corner its ball
-        # once started, the radius it has grown to (-1 once its search
-        # ended) and the triangles met in that ball]
-        waiting = []
-        for i, t1 in enumerate(tris):
-            t1m = mask_of(t1)
-            later = (1 << len(tris)) - (2 << i) & ~(on[t1[0]] | on[t1[1]] | on[t1[2]])
-            if later:
-                for x in bits(g.neighborhood(t1m) & corners & ~t1m):
-                    for j in bits(later & on[x]):
-                        if next(matchings(i, j), None) is None:
-                            later &= ~(1 << j)
-            if later:
-                waiting.append([later, i, [None] * 3, [0] * 3, [0] * 3])
-        filed: dict[int, list] = {}
-        cap = 0
-        while waiting or filed:
-            cap += 1
-            for entry in waiting:
-                later, i, balls, radii, met = entry
-                t1 = tris[i]
-                for c, v in enumerate(t1):
-                    if radii[c] < 0 or not later & ~met[c]:
-                        continue  # its search ended, or it met every triangle t1 waits for
-                    if balls[c] is None:
-                        if c and not later & met[c - 1]:
-                            break  # a corner starts once the one before it met one of them
-                        balls[c] = budget.ball(g, v, corner[t1][v])
-                    while 0 <= radii[c] < cap:
-                        radii[c] += 1
-                        layer = balls[c].layer(radii[c])
-                        if layer is None:
-                            radii[c] = -1
-                            later &= met[c]  # no matching reaches a triangle this corner never met
-                        else:
-                            for x in bits(layer & corners):
-                                met[c] |= on[x]
-                full = later & met[0] & met[1] & met[2]
-                for j in bits(full):
-                    screens: dict[tuple[int, int], int] = {}
-                    for k, matched, pairs in matchings(i, j):
-                        top = bound(t1, tris[j], pairs, screens)
-                        if top > 0:
-                            filed.setdefault(top, []).append(((i, j, k), (t1, tris[j], matched)))
-                entry[0] = later & ~full
-            waiting = [entry for entry in waiting if entry[0]]
-            yield filed.pop(cap, [])
+    def candidates(t1: tuple, t2: tuple) -> Iterator[tuple[int, tuple]]:
+        """(bound, key) of each matching of t1 with t2 whose ends are in
+        reach, the bound its largest screen.  Each corner pair's screen is
+        read once for the triangle pair, a matching's screens only up to
+        the first out of reach, and the second radius only when the first
+        is not -1."""
+        screens: dict[tuple[int, int], int] = {}
+        for matched, pairs in matchings(t1, t2):
+            top = 0
+            for u, w in pairs:
+                if (u, w) not in screens:
+                    d = budget.ball(g, u, corner[t1][u]).radius_holding(1 << w, 1)
+                    e = budget.ball(g, w, corner[t2][w]).radius_holding(1 << u, 1) if d > 0 else -1
+                    screens[u, w] = -1 if e < 0 else max(d, e)
+                if screens[u, w] < 0:
+                    break
+                top = max(top, screens[u, w])
+            else:
+                yield top, (t1, t2, matched)
 
-    return _shortest_three_paths(g, part, per_cap(), asks_of, budget)
+    on: dict[int, int] = {}  # per corner vertex, the indices of its triangles as a mask
+    for i, t in enumerate(tris):
+        for v in t:
+            on[v] = on.get(v, 0) | 1 << i
+    corners = mask_of(on)
+    groups = {}  # per triangle with a later disjoint triangle that some matching fits
+    for i, t1 in enumerate(tris):
+        t1m = mask_of(t1)
+        later = (1 << len(tris)) - (2 << i) & ~(on[t1[0]] | on[t1[1]] | on[t1[2]])
+        if later:
+            for x in bits(g.neighborhood(t1m) & corners & ~t1m):
+                for j in bits(later & on[x]):
+                    if next(matchings(t1, tris[j]), None) is None:
+                        later &= ~(1 << j)
+        if later:
+            groups[i] = (later, [(v, corner[t1][v]) for v in t1])
+
+    def index(reach: int) -> int:
+        """The triangles with a corner in reach."""
+        met = 0
+        for x in bits(reach & corners):
+            met |= on[x]
+        return met
+
+    met = _meetings(g, groups, index, budget)
+    # radius 0 meets only t1's own corners, whose triangles t1 never waits for
+    fresh = ([c for i, j in pairs for c in candidates(tris[i], tris[j])] for pairs in islice(met, 1, None))
+    return _shortest_three_paths(g, part, fresh, asks_of, budget)
 
 
 def find_prism(

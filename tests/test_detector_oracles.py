@@ -324,7 +324,7 @@ def test_theta_pairs_filed_per_cap_match_every_floor_first():
         totals = [a + b for a, b in zip(totals, [nodes, *work, nodes_old, *work_old])]
     # (nodes, searches, reads, frontiers) in all, per cap then every floor
     # first
-    assert totals == [1_039, 2_572, 1_139, 14_157, 1_039, 9_388, 9_219, 168_304]
+    assert totals == [1_039, 2_281, 1_139, 11_088, 1_039, 9_388, 9_219, 168_304]
 
 
 def test_prism_matches_the_screen_everything_route():
@@ -356,7 +356,7 @@ def test_prism_matches_the_screen_everything_route():
     # a prism in each line graph, and in some small classes
     assert found > 4 * 3 + 1
     # (searches, reads, frontiers) in all, per cap then eager
-    assert totals == [1_483, 1_142, 14_301, 1_663, 247_854, 44_423]
+    assert totals == [1_220, 1_142, 11_583, 1_663, 247_854, 44_423]
 
 
 def _absence_inputs():
@@ -392,7 +392,13 @@ def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
     # inputs and every class on at most 7 vertices.  The totals of
     # (searches, reads, frontiers) per finder, per cap then eager, are
     # pinned: all fall.  The theta reads each filed floor from its memo, and
-    # searched whole, its ends with many partners share balls.
+    # searched whole, its ends with many partners share balls.  Searched
+    # whole, the prism's per-cap frontiers are 651 against 641 when a
+    # triangle's third corner started once the second had met any waited
+    # triangle: a later third corner ends later, so a triangle it never
+    # meets is dropped later and the first two grow a little further, on
+    # five of these graphs, each starting no more searches.  That route is
+    # the test-only one; atom by atom no graph expands more.
     graphs = _absence_inputs() + [g for n in range(8) for g in enumerate_graphs(n)]
     totals = {}
     for g in graphs:
@@ -411,11 +417,11 @@ def test_no_witness_side_does_no_more_work_than_the_screen_everything_route():
     assert totals == {
         ("find_prism", "nullcontext", "per cap"): [105, 115, 109],
         ("find_prism", "nullcontext", "eager"): [106, 121, 110],
-        ("find_prism", "whole_graph", "per cap"): [424, 115, 641],
+        ("find_prism", "whole_graph", "per cap"): [417, 115, 651],
         ("find_prism", "whole_graph", "eager"): [495, 2_321, 913],
         ("find_theta", "nullcontext", "per cap"): [1_192, 815, 1_363],
         ("find_theta", "nullcontext", "eager"): [1_192, 1_047, 1_363],
-        ("find_theta", "whole_graph", "per cap"): [1_556, 4_068, 2_817],
+        ("find_theta", "whole_graph", "per cap"): [1_554, 4_068, 2_782],
         ("find_theta", "whole_graph", "eager"): [1_560, 5_848, 2_848],
     }
 

@@ -174,17 +174,19 @@ def _routes(now, through_src):
 # nodes needed on the t=4 obstruction of SplitMix(1)'s first seed: first by
 # the finder, then by the plain cap-deepening route, in which every
 # induced-path search made its own Graph.bfs_dist call
-# (tests/deepening_oracles.py).  The prism's 64 are 59 of the 66 corner
+# (tests/deepening_oracles.py).  The prism's 55 are 50 of the 66 corner
 # balls of its 22 triangles, the rest never started before the witness's
-# cap, and 5 floors.
+# cap, and 5 floors.  Both routes sweep the prism's corner balls as the
+# finder does (detectors._meetings), so its first count is that of both.
 _PINNED_WORK = [
-    (det.find_prism, "line_of_wall", 64, 21, 13_859, 1_407),  # n=123
+    (det.find_prism, "line_of_wall", 55, 21, 13_859, 1_407),  # n=123
     (det.find_theta, "wall", 205, 1_114, 3_841, 11_671),  # n=112
 ]
 # the theta's balls leave out the first end, so an end with more partners
 # than neighbours grows one ball per neighbour, shared by its pairs, and
-# the others one per pair of ends
-_PINNED_NOW = {det.find_prism: (64, 21), det.find_theta: (64, 24)}
+# the others one per pair of ends; the last two balls around an end's
+# neighbours start only once a partner could still be met three times
+_PINNED_NOW = {det.find_prism: (55, 21), det.find_theta: (51, 24)}
 
 
 def _counted_searches(monkeypatch) -> list:
@@ -246,16 +248,18 @@ def test_three_path_search_work_is_pinned(
 # to exhaustion (tests/deepening_oracles.py).  Each obstruction is one atom
 # and is searched whole, as in _HOLE_WORK below.
 _EXPANSION_WORK = [
-    (det.find_prism, "line_of_wall", 21, 700, 1_561),  # n=123
+    (det.find_prism, "line_of_wall", 21, 601, 1_354),  # n=123
     (det.find_theta, "wall", 1_114, 2_156, 4_498),  # n=112
     (det.find_even_hole, "line_of_wall", 1_743, 635, 1_237),  # n=123
 ]
-# The theta's end balls grow one layer per cap, shared by each end's pairs,
-# and stop at the witness's cap.  On the array side each hole pair's floor
-# ball and each theta end ball also run to exhaustion.
+# The theta's end balls, shared by each end's pairs, and the prism's corner
+# balls grow one layer per cap in one sweep (detectors._meetings), and stop
+# at the witness's cap or once they have met every target.  On the array
+# side each hole pair's floor ball and each theta end ball also run to
+# exhaustion.
 _EXPANSION_NOW = {
-    det.find_prism: (21, 699, 1_559),
-    det.find_theta: (24, 764, 1_577),
+    det.find_prism: (21, 600, 1_352),
+    det.find_theta: (24, 621, 1_272),
     det.find_even_hole: (170, 448, 1_702),
 }
 
@@ -286,7 +290,7 @@ def test_balls_grow_only_as_far_as_asked(
 def test_prism_screens_only_the_pairs_that_fit():
     # on the t=10 line graph of a wall, seed 1 (n=753), searched whole: the
     # prism reads 24 radii from its balls (corner screens and floors) and
-    # expands 4,098 breadth-first frontiers, since a triangle pair is
+    # expands 2,946 breadth-first frontiers, since a triangle pair is
     # screened only at the cap where the last corner of the first triangle
     # meets the second.  Reading every screen before the first cap
     # (deepening_oracles.eager_screens) took 282,504 reads and 26,380
@@ -295,7 +299,7 @@ def test_prism_screens_only_the_pairs_that_fit():
     with whole_graph():
         w, nodes, _, reads, frontiers = spent(det.find_prism, g, guard=g.n)
     assert w is not None and det.validate_witness(g, w)
-    assert (nodes, reads, frontiers) == (17, 24, 4_098)
+    assert (nodes, reads, frontiers) == (17, 24, 2_946)
 
 
 # obstruction kind and finder, then (search nodes, distance searches, radius
@@ -313,7 +317,7 @@ _SCALE_WORK = {
     ),
     ("wall", det.find_even_wheel): ((0, 0, 0, 0), None),
     ("wall", det.find_theta): (
-        (20, 532, 8, 4_863),
+        (20, 328, 8, 3_027),
         (
             ("ends", (114, 115)),
             (
@@ -334,7 +338,7 @@ _SCALE_WORK = {
     ("line_of_wall", det.find_even_wheel): ((0, 0, 0, 0), None),
     ("line_of_wall", det.find_theta): ((0, 0, 0, 0), None),
     ("line_of_wall", det.find_prism): (
-        (17, 457, 24, 4_098),
+        (17, 329, 24, 2_946),
         (
             ("triangles", ((321, 322, 323), (324, 325, 326))),
             (
@@ -417,13 +421,13 @@ def test_hole_stream_work_is_pinned(
 _ATOM_WORK = [
     (det.find_even_hole, 5, 16, 15, 1_360),
     (det.find_theta, 0, 0, 21, 1_349),
-    (det.find_prism, 0, 0, 11, 0),
+    (det.find_prism, 0, 0, 10, 0),
     (det.find_even_wheel, 0, 0, 15, 2_620),
 ]
 _ATOM_NOW = {
     det.find_even_hole: (5, 5, 15, 816),
     det.find_theta: (0, 0, 12, 394),
-    det.find_prism: (0, 0, 11, 0),
+    det.find_prism: (0, 0, 10, 0),
     det.find_even_wheel: (0, 0, 15, 1_590),
 }
 

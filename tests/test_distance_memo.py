@@ -3,9 +3,11 @@
 (tests/deepening_oracles.py): the same floors, the same paths in the same
 order, the same budget spent and the same distance searches started.  Then
 the bounds read from the balls, which leave out each path's start, against
-paths and holes found by brute force without a ball, and the floors of
-theta end pairs filed per cap against those the balls read one by one."""
+paths and holes found by brute force without a ball, the floors of theta
+end pairs filed per cap against those the balls read one by one, and the
+sweep behind them (detectors._meetings) against distance arrays."""
 
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as hst
 from obslab import detectors as det
 from obslab.errors import ScaleLimit
 from obslab.generators import cycle, path_graph, random_graph
-from obslab.graph_core import Graph, bits
+from obslab.graph_core import Graph, bits, mask_of
 
 from .conftest import graphs
 from .deepening_oracles import DistanceBudget, cycles_without_floors, floor, induced_paths
@@ -139,11 +141,14 @@ def _theta_floors_checked(g, part, ends):
     pair it never files against a floor of -1; the number of pairs filed
     from ends with more partners than neighbours, and from the others."""
     budget = det._Budget(10**6, "theta pairs")
+    # a pair's floor is at most g.n, so the pairs end by cap g.n + 1
+    caps = list(islice(det._theta_pairs(g, part, ends, budget), g.n + 2))
+    assert len(caps) <= g.n + 1
     filed = {}
-    for cap, pairs in enumerate(det._theta_pairs(g, part, ends, budget), 1):
-        for order, key in pairs:
-            assert order == key and key not in filed
-            filed[key] = cap
+    for cap, pairs in enumerate(caps, 1):
+        for bound, key in pairs:
+            assert bound >= cap and key not in filed
+            filed[key] = bound
     counts = [0, 0]
     for a in bits(ends):
         partners = ends >> (a + 1) << (a + 1) & ~g.adj[a]
@@ -180,6 +185,86 @@ def test_theta_floors_filed_per_cap_take_both_routes():
         g = random_graph(10, seed)
         counts = [a + b for a, b in zip(counts, _theta_floors_checked(g, g.full_mask(), g.full_mask()))]
     assert counts == [206, 541]
+
+
+def test_theta_pairs_of_an_end_with_two_neighbours_are_never_filed():
+    # end 0 has two neighbours in part and three partners, 3, 4 and 5, so
+    # its pairs share the balls around its neighbours; two balls never meet
+    # a partner three times, so the sweep wants nothing from them and ends
+    g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
+    ends = 0b111001
+    _theta_floors_checked(g, g.full_mask(), ends)
+    budget = det._Budget(10**6, "theta pairs")
+    caps = list(islice(det._theta_pairs(g, g.full_mask(), ends, budget), g.n + 2))
+    assert len(caps) <= g.n + 1
+    assert not [key for pairs in caps for _, key in pairs if key[0] == 0]
+    # no ball around a neighbour of 0 is ever grown
+    assert not [key for key in budget.balls if key[1] == g.full_mask() & ~1]
+
+
+def test_meetings_of_groups_with_fewer_than_three_balls_are_empty():
+    # groups of one and two balls want nothing, start no ball and end at
+    # once, beside a group of three that meets vertex 2 of the path at
+    # radius 2: ends 0 and 4 reach it at radius 2, end 1 at radius 1
+    g = path_graph(5)
+    full = g.full_mask()
+    groups = {
+        "one": (full, [(0, full)]),
+        "two": (full, [(0, full), (4, full)]),
+        "three": (1 << 2, [(0, full), (1, full), (4, full)]),
+    }
+    budget = det._Budget(10**6, "meetings")
+    radii = list(islice(det._meetings(g, groups, lambda reach: reach, budget), g.n + 2))
+    assert radii == [[], [], [("three", 2)]]
+    assert sorted(budget.balls) == [(0, full), (1, full), (4, full)]
+
+
+def _least_radii(g, groups, index):
+    """{(name, target): r} for each wanted target that three distinct balls
+    of its group reach, r the third least radius at which they do, read
+    from the distance arrays of the balls."""
+    out = {}
+    for name, (wanted, balls) in groups.items():
+        dists = [g.bfs_dist(end, mask) for end, mask in balls]
+        for t in bits(wanted):
+            near = [v for v in range(g.n) if index(1 << v) >> t & 1]
+            reached = [[dist[v] for v in near if dist[v] >= 0] for dist in dists]
+            radii = sorted(min(d) for d in reached if d)
+            if len(radii) >= 3:
+                out[name, t] = radii[2]
+    return out
+
+
+@given(graphs(min_n=1, max_n=10), hst.data())
+@settings(max_examples=200, deadline=None)
+def test_meetings_match_brute_force(g, data):
+    # each wanted target comes once, at the least radius at which three
+    # distinct balls of its group reach it, and a target that three never
+    # reach never comes, under the identity index and under a coarser one
+    # that maps v to v // 2, as the prism maps corners to triangles.
+    # Groups of three balls start their last two late, and an end alone in
+    # its mask ends its search at once, which drops targets.
+    coarse = data.draw(hst.booleans())
+    index = (lambda reach: mask_of(v // 2 for v in bits(reach))) if coarse else (lambda reach: reach)
+    targets = index(g.full_mask())
+    vertex = hst.integers(min_value=0, max_value=g.n - 1)
+    mask = hst.one_of(hst.just(0), hst.just(g.full_mask()), hst.integers(min_value=0, max_value=g.full_mask()))
+    groups = {}
+    for name in range(data.draw(hst.integers(min_value=1, max_value=3))):
+        size = data.draw(hst.one_of(hst.just(3), hst.integers(min_value=1, max_value=5)))
+        ends = data.draw(hst.lists(vertex, min_size=min(size, g.n), max_size=min(size, g.n), unique=True))
+        wanted = data.draw(hst.one_of(hst.just(targets), hst.integers(min_value=0, max_value=targets)))
+        groups[name] = (wanted, [(end, data.draw(mask) | 1 << end) for end in ends])
+    budget = det._Budget(10**6, "meetings")
+    # every ball ends by radius g.n - 1, so the sweep ends by radius g.n
+    radii = list(islice(det._meetings(g, groups, index, budget), g.n + 2))
+    assert len(radii) <= g.n + 1
+    met = {}
+    for r, pairs in enumerate(radii):
+        for name, t in pairs:
+            assert (name, t) not in met
+            met[name, t] = r
+    assert met == _least_radii(g, groups, index)
 
 
 # graph, then the asks and their answers; 5 is out of reach of the path
